@@ -5,7 +5,10 @@
 #
 # 1. release build of the whole workspace
 # 2. full test suite (workspace-wide; the root package alone only runs
-#    the umbrella integration tests)
+#    the umbrella integration tests), then the repository benchmark's own
+#    tests (span store, seeded schedules, stage-replay identity, output
+#    checker; no daemons), which also compile `benchmark/` against the
+#    current library APIs
 # 3. bench smoke: tiny-workload run of the benchmark harness; the CLI
 #    re-parses the emitted JSON and validates the schema, so this also
 #    gates the report format
@@ -73,6 +76,7 @@ set -eu
 
 cargo build --release --workspace
 cargo test --workspace -q
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path benchmark/Cargo.toml
 ./target/release/obfuscade bench --smoke --threads 2 --out target/bench_smoke.json
 
 rm -f target/serve.addr

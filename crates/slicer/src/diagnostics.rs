@@ -9,10 +9,15 @@
 //!   shows an outright discontinuity;
 //! * **internal void** cells measure sub-road-width crack pockets (the
 //!   tessellation gaps that surface as texture disruption in Fig. 8).
+//!
+//! Both are computed on the layer's run-length rows (see `runs.rs`), never
+//! on a cell grid: a layer costs O(rows + contour crossings) in time and
+//! memory whatever the analysis cell size.
 
 use am_geom::{Aabb2, Point2};
 
-use crate::{rasterize_layer, SlicedModel};
+use crate::raster::layer_runs;
+use crate::SlicedModel;
 
 /// Defect metrics for one sliced model.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,13 +132,16 @@ pub fn diagnose_slices(sliced: &SlicedModel, cell: f64) -> SliceReport {
         if layer.loops.is_empty() {
             continue;
         }
-        let raster = rasterize_layer(layer, bounds2, cell, true);
-        let components = raster.model_components();
+        let runs = layer_runs(layer, bounds2, cell, true);
+        let connectivity = runs.connectivity();
+        let components = connectivity.model_components;
         report.max_components = report.max_components.max(components);
-        if components >= 2 && raster.min_model_gap().is_some_and(|g| g <= SEAM_GAP_MM) {
+        if components >= 2
+            && runs.min_model_gap_cells().is_some_and(|g| g as f64 * cell <= SEAM_GAP_MM)
+        {
             report.discontinuous_layers += 1;
         }
-        let voids = raster.internal_void_cells();
+        let voids = connectivity.internal_void_cells;
         report.internal_void_cells += voids;
         report.internal_void_area += voids as f64 * cell * cell;
     }
@@ -192,8 +200,9 @@ pub fn seam_exposure(sliced: &SlicedModel, interface_tol: f64) -> Option<SeamExp
 mod tests {
     use super::*;
     use am_cad::parts::{tensile_bar, tensile_bar_with_spline, TensileBarDims};
+    use am_geom::{Aabb3, Point3, Polygon2};
     use am_mesh::{tessellate_shells, Resolution};
-    use crate::{orient_shells, slice_shells, Orientation};
+    use crate::{orient_shells, slice_shells, Contour, Layer, Orientation};
 
     fn report(split: bool, orientation: Orientation, res: Resolution) -> SliceReport {
         let dims = TensileBarDims::default();
@@ -231,6 +240,28 @@ mod tests {
             let r = report(true, Orientation::Xy, res);
             assert!(!r.has_discontinuity(), "{res}: {r:?}");
         }
+    }
+
+    #[test]
+    fn fine_cell_diagnosis_needs_no_cell_grid() {
+        // One 254 × 127 mm layer at a 0.001 mm cell: a cell grid would
+        // hold 32 G cells (an allocation abort, not an error), while the
+        // run rows hold three runs for each of its 127 k rows.
+        let layer = Layer {
+            z: 0.05,
+            loops: vec![Contour {
+                polygon: Polygon2::rectangle(Point2::ZERO, Point2::new(254.0, 127.0)),
+                body: 0,
+            }],
+            open_paths: Vec::new(),
+        };
+        let sliced = SlicedModel {
+            layers: vec![layer],
+            layer_height: 0.1,
+            bounds: Aabb3::new(Point3::ZERO, Point3::new(254.0, 127.0, 0.1)),
+        };
+        let r = diagnose_slices(&sliced, 0.001);
+        assert_eq!((r.max_components, r.internal_void_cells, r.discontinuous_layers), (1, 0, 0));
     }
 
     #[test]

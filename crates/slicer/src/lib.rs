@@ -44,6 +44,7 @@ mod gcode;
 mod orientation;
 mod preview;
 mod raster;
+mod runs;
 mod slice;
 mod toolpath;
 

@@ -14,6 +14,7 @@
 
 use am_geom::{Aabb2, Point2, Polygon2};
 
+use crate::runs::RunRows;
 use crate::{Layer, SlicedModel};
 
 /// What occupies one raster cell.
@@ -134,40 +135,7 @@ impl RasterLayer {
     /// layer's cross-section is *disconnected* (the Fig. 7a discontinuity
     /// signature).
     pub fn model_components(&self) -> usize {
-        let mut seen = vec![false; self.cells.len()];
-        let mut components = 0;
-        let mut stack = Vec::new();
-        for start in 0..self.cells.len() {
-            if seen[start] || self.cells[start] != CellMaterial::Model {
-                continue;
-            }
-            components += 1;
-            stack.push(start);
-            seen[start] = true;
-            while let Some(idx) = stack.pop() {
-                let (i, j) = (idx % self.nx, idx / self.nx);
-                let mut visit = |ii: usize, jj: usize| {
-                    let nidx = jj * self.nx + ii;
-                    if !seen[nidx] && self.cells[nidx] == CellMaterial::Model {
-                        seen[nidx] = true;
-                        stack.push(nidx);
-                    }
-                };
-                if i > 0 {
-                    visit(i - 1, j);
-                }
-                if i + 1 < self.nx {
-                    visit(i + 1, j);
-                }
-                if j > 0 {
-                    visit(i, j - 1);
-                }
-                if j + 1 < self.ny {
-                    visit(i, j + 1);
-                }
-            }
-        }
-        components
+        self.runs().connectivity().model_components
     }
 
     /// Minimum horizontal gap (in mm) between two model runs in any row, or
@@ -180,92 +148,20 @@ impl RasterLayer {
     /// Only **empty** gaps count: support-filled spans are deliberate
     /// geometry (a through-hole the slicer chose to support), not a crack.
     pub fn min_model_gap(&self) -> Option<f64> {
-        let mut best: Option<usize> = None;
-        for (_, row) in self.rows() {
-            let mut last_model_end: Option<usize> = None;
-            let mut gap_is_empty = true;
-            let mut i = 0;
-            while i < self.nx {
-                match row[i] {
-                    CellMaterial::Model => {
-                        let run_start = i;
-                        while i < self.nx && row[i] == CellMaterial::Model {
-                            i += 1;
-                        }
-                        if let Some(end) = last_model_end {
-                            if gap_is_empty {
-                                let gap = run_start - end;
-                                best = Some(best.map_or(gap, |b| b.min(gap)));
-                            }
-                        }
-                        last_model_end = Some(i);
-                        gap_is_empty = true;
-                    }
-                    CellMaterial::Support => {
-                        gap_is_empty = false;
-                        i += 1;
-                    }
-                    CellMaterial::Empty => {
-                        i += 1;
-                    }
-                }
-            }
-        }
-        best.map(|cells| cells as f64 * self.cell)
+        self.runs().min_model_gap_cells().map(|cells| cells as f64 * self.cell)
     }
 
     /// Number of *internal void* cells: empty cells with no 4-connected path
     /// to the grid border through non-model cells. These are the
     /// tessellation-gap pockets a planted seam leaves inside the part.
     pub fn internal_void_cells(&self) -> usize {
-        let mut outside = vec![false; self.cells.len()];
-        let mut stack = Vec::new();
-        // Seed the flood from every non-model border cell.
-        for i in 0..self.nx {
-            for j in [0, self.ny - 1] {
-                let idx = j * self.nx + i;
-                if self.cells[idx] != CellMaterial::Model && !outside[idx] {
-                    outside[idx] = true;
-                    stack.push(idx);
-                }
-            }
-        }
-        for j in 0..self.ny {
-            for i in [0, self.nx - 1] {
-                let idx = j * self.nx + i;
-                if self.cells[idx] != CellMaterial::Model && !outside[idx] {
-                    outside[idx] = true;
-                    stack.push(idx);
-                }
-            }
-        }
-        while let Some(idx) = stack.pop() {
-            let (i, j) = (idx % self.nx, idx / self.nx);
-            let visit = |ii: usize, jj: usize, outside: &mut Vec<bool>, stack: &mut Vec<usize>| {
-                let nidx = jj * self.nx + ii;
-                if !outside[nidx] && self.cells[nidx] != CellMaterial::Model {
-                    outside[nidx] = true;
-                    stack.push(nidx);
-                }
-            };
-            if i > 0 {
-                visit(i - 1, j, &mut outside, &mut stack);
-            }
-            if i + 1 < self.nx {
-                visit(i + 1, j, &mut outside, &mut stack);
-            }
-            if j > 0 {
-                visit(i, j - 1, &mut outside, &mut stack);
-            }
-            if j + 1 < self.ny {
-                visit(i, j + 1, &mut outside, &mut stack);
-            }
-        }
-        self.cells
-            .iter()
-            .zip(&outside)
-            .filter(|&(&c, &out)| c == CellMaterial::Empty && !out)
-            .count()
+        self.runs().connectivity().internal_void_cells
+    }
+
+    /// The layer's cells as run-length rows — the form every raster
+    /// analysis reads, shared with the slice diagnosis.
+    fn runs(&self) -> RunRows {
+        RunRows::from_cells(&self.cells, self.nx)
     }
 
     /// Iterates rows as `(j, &cells)` slices — used by tool-path generation
@@ -336,30 +232,36 @@ fn classify(w: i32, w_pos: i32, support: bool) -> CellMaterial {
     }
 }
 
-/// Rasterizes one layer over `bounds` with the given cell size, via the
-/// span-plan scanline pipeline (DESIGN.md §13): a **plan** phase buckets
-/// every edge's row crossings into per-row lists (visiting edges in edge
-/// order, so each row sees its crossings in the same order the scan
-/// variant's per-row filter produces them — the stable sort then yields
-/// the identical sequence), and an **execute** phase converts each row's
-/// sorted crossings into whole-span `slice::fill`s of the winding-constant
-/// intervals between them. [`rasterize_layer_scan`] is the retained
-/// oracle; the two are bit-identical.
-///
-/// When `support` is `false`, enclosed-void cells classify as `Empty`
-/// instead of `Support`.
+/// Grid dimensions `(columns, rows)` of a raster over `bounds`.
 ///
 /// # Panics
 ///
 /// Panics if `cell` is not positive and finite or `bounds` is empty.
-pub fn rasterize_layer(layer: &Layer, bounds: Aabb2, cell: f64, support: bool) -> RasterLayer {
+fn grid_dims(bounds: Aabb2, cell: f64) -> (usize, usize) {
     assert!(cell.is_finite() && cell > 0.0, "cell size must be positive, got {cell}");
     let size = bounds.size();
     assert!(size.x > 0.0 && size.y > 0.0, "raster bounds must be non-empty");
-    let nx = (size.x / cell).ceil().max(1.0) as usize;
-    let ny = (size.y / cell).ceil().max(1.0) as usize;
-    let mut cells = vec![CellMaterial::Empty; nx * ny];
+    ((size.x / cell).ceil().max(1.0) as usize, (size.y / cell).ceil().max(1.0) as usize)
+}
 
+/// Classifies one layer over `bounds` into run-length rows via the
+/// span-plan scanline pipeline (DESIGN.md §13): a **plan** phase buckets
+/// every edge's row crossings into per-row lists (visiting edges in edge
+/// order, so each row sees its crossings in the same order the scan
+/// variant's per-row filter produces them — the stable sort then yields
+/// the identical sequence), and an **execute** phase turns each row's
+/// sorted crossings into the winding-constant spans between them, merged
+/// into maximal runs of equal material.
+///
+/// Both [`rasterize_layer`] and the slice diagnosis build on these runs;
+/// the diagnosis reads them directly and never allocates a cell grid, so
+/// its cost follows rows + crossings rather than cells.
+///
+/// # Panics
+///
+/// Panics if `cell` is not positive and finite or `bounds` is empty.
+pub(crate) fn layer_runs(layer: &Layer, bounds: Aabb2, cell: f64, support: bool) -> RunRows {
+    let (nx, ny) = grid_dims(bounds, cell);
     let edges = collect_edges(layer);
 
     // Plan: bucket crossings by row. The candidate row window comes from a
@@ -383,20 +285,20 @@ pub fn rasterize_layer(layer: &Layer, bounds: Aabb2, cell: f64, support: bool) -
     }
 
     // Execute: each row's sorted crossings split it into winding-constant
-    // spans, filled whole. A crossing's first owned cell is the first cell
-    // centre at or right of it — the float quotient seeds the boundary and
-    // two reference-comparison nudges make it exact, so every cell lands
-    // on the same side of every crossing as in the scan variant's
-    // `crossings[next].0 <= x` walk.
-    for (j, crossings) in row_crossings.iter_mut().enumerate() {
-        let row = &mut cells[j * nx..(j + 1) * nx];
+    // spans. A crossing's first owned cell is the first cell centre at or
+    // right of it — the float quotient seeds the boundary (clamped to the
+    // row) and two reference-comparison nudges make it exact, so every
+    // cell lands on the same side of every crossing as in the scan
+    // variant's `crossings[next].0 <= x` walk.
+    let mut rows = RunRows::new(nx);
+    let center = |i: usize| bounds.min.x + (i as f64 + 0.5) * cell;
+    for crossings in &mut row_crossings {
         crossings.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite crossing x"));
         let mut w = 0i32;
         let mut w_pos = 0i32;
         let mut i = 0usize;
-        let center = |i: usize| bounds.min.x + (i as f64 + 0.5) * cell;
         for &(cx, dw, dpos) in crossings.iter() {
-            let mut b = ((cx - bounds.min.x) / cell - 0.5).ceil().max(0.0) as usize;
+            let mut b = (((cx - bounds.min.x) / cell - 0.5).ceil().max(0.0) as usize).min(nx);
             while b > 0 && cx <= center(b - 1) {
                 b -= 1;
             }
@@ -404,15 +306,40 @@ pub fn rasterize_layer(layer: &Layer, bounds: Aabb2, cell: f64, support: bool) -
                 b += 1;
             }
             if b > i {
-                row[i..b].fill(classify(w, w_pos, support));
+                rows.push(i, b, classify(w, w_pos, support));
                 i = b;
             }
             w -= dw;
             w_pos -= dpos;
         }
-        row[i..nx].fill(classify(w, w_pos, support));
+        if i < nx {
+            rows.push(i, nx, classify(w, w_pos, support));
+        }
+        rows.end_row();
     }
+    rows
+}
 
+/// Rasterizes one layer over `bounds` with the given cell size: the
+/// span-plan runs of [`layer_runs`], each filled whole into the cell grid,
+/// plus body attribution. [`rasterize_layer_scan`] is the retained
+/// oracle; the two are bit-identical.
+///
+/// When `support` is `false`, enclosed-void cells classify as `Empty`
+/// instead of `Support`.
+///
+/// # Panics
+///
+/// Panics if `cell` is not positive and finite or `bounds` is empty.
+pub fn rasterize_layer(layer: &Layer, bounds: Aabb2, cell: f64, support: bool) -> RasterLayer {
+    let runs = layer_runs(layer, bounds, cell, support);
+    let (nx, ny) = (runs.nx(), runs.ny());
+    let mut cells = vec![CellMaterial::Empty; nx * ny];
+    for (j, row) in cells.chunks_mut(nx).enumerate() {
+        for run in runs.row(j) {
+            row[run.start..run.end].fill(run.material);
+        }
+    }
     let bodies = attribute_bodies(&cells, layer, bounds, cell, nx, ny);
     RasterLayer { z: layer.z, origin: bounds.min, cell, nx, ny, cells, bodies }
 }
@@ -422,11 +349,7 @@ pub fn rasterize_layer(layer: &Layer, bounds: Aabb2, cell: f64, support: bool) -
 /// classifies cell by cell. Retained as the span-plan pipeline's oracle —
 /// `raster_span_plan_matches_scan` pins the two bit-identical.
 pub fn rasterize_layer_scan(layer: &Layer, bounds: Aabb2, cell: f64, support: bool) -> RasterLayer {
-    assert!(cell.is_finite() && cell > 0.0, "cell size must be positive, got {cell}");
-    let size = bounds.size();
-    assert!(size.x > 0.0 && size.y > 0.0, "raster bounds must be non-empty");
-    let nx = (size.x / cell).ceil().max(1.0) as usize;
-    let ny = (size.y / cell).ceil().max(1.0) as usize;
+    let (nx, ny) = grid_dims(bounds, cell);
     let mut cells = vec![CellMaterial::Empty; nx * ny];
 
     let edges = collect_edges(layer);
