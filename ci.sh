@@ -72,6 +72,10 @@
 # 8. clippy as an error wall, with `clippy::unwrap_used` additionally
 #    enabled for library and binary code (test code may unwrap freely —
 #    a failing assertion *is* its error report)
+# 9. rustdoc as an error wall: broken or private intra-doc links in any
+#    library's public docs fail the build (`--lib` because the `obfuscade`
+#    binary and the `obfuscade` library would otherwise collide on the
+#    doc output file name)
 set -eu
 
 cargo build --release --workspace
@@ -264,5 +268,6 @@ wait "$B3_PID" 2>/dev/null || true
     --detect-min-catch 0.9 --detect-max-fpr 0.4
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy --workspace --lib --bins -- -D warnings -W clippy::unwrap_used
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
 
 echo "ci: all green"

@@ -27,10 +27,8 @@ use obfuscade::{
 /// The process-wide stage cache every experiment section shares: the same
 /// parts and plans recur across sections (the spline bar at each
 /// resolution, the sphere prism under the genuine recipe, …), so later
-/// sections find their stage prefixes already hot. The bench harness
-/// clears it between timed suite runs so cross-run reuse never flatters a
-/// timing.
-pub fn experiment_cache() -> &'static StageCache {
+/// sections find their stage prefixes already hot.
+fn experiment_cache() -> &'static StageCache {
     static CACHE: OnceLock<StageCache> = OnceLock::new();
     CACHE.get_or_init(StageCache::default)
 }

@@ -1,9 +1,9 @@
 //! Experiment harness for the ObfusCADe reproduction.
 //!
 //! Each function in [`experiments`] regenerates one table or figure of the
-//! paper as printable text; the binaries in `src/bin/` are thin wrappers
-//! (run `cargo run --release -p obfuscade-bench --bin all_experiments` for
-//! everything), and `benches/` holds the Criterion performance benchmarks.
+//! paper as printable text; `obfuscade report <name>` prints one of them
+//! and `obfuscade report all` prints every section in paper order.
+//! [`perf`] is the harness behind `obfuscade bench`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,13 +2,16 @@
 //! shared-prefix sweep engine (PR 3).
 //!
 //! Measures the three rewritten hot kernels — slicing, deposition, FEA
-//! relaxation — plus the end-to-end experiment suite, each as *reference
-//! implementation vs optimized kernel*. The reference implementations are
-//! the original seed kernels, kept verbatim behind
-//! [`obfuscade::KernelMode::Reference`]; the optimized kernels are the
-//! interval-sweep slicer, the scanline span-plan stamper (PR 7, DESIGN.md
-//! §13), and the SoA gather-based relaxation solver, run at the
-//! configured thread budget.
+//! relaxation — each as *reference implementation vs production kernel*.
+//! The reference implementations are the original seed kernels
+//! ([`am_slicer::slice_shells_scan`],
+//! [`am_printer::PrintedPart::try_from_toolpath_reference`],
+//! [`am_fea::run_tensile_test_reference`]), which no production path
+//! calls; the production kernels are the interval-sweep slicer, the
+//! scanline span-plan stamper (DESIGN.md §13), and the tensile solver
+//! pool, run at the configured thread budget. Reports carry no
+//! end-to-end `all_experiments` row: the experiment suite has only the
+//! production kernels to run.
 //! The `sweep` row benchmarks the content-addressed stage cache: the full
 //! `ProcessKey::key_space()` with seed replicates, cold per-key
 //! `run_pipeline` vs [`obfuscade::sweep_key_space`] over one
@@ -63,24 +66,21 @@ use am_par::Parallelism;
 use obfuscade::json::{json_number, json_string, parse_json, Json};
 use obfuscade::metrics::cache_line;
 use obfuscade::{
-    run_pipeline, set_kernel_mode, sweep_key_space, CacheStats, CadRecipe, Deadline, KernelMode,
-    PipelineError, PipelineOutput, ProcessKey, ProcessPlan, StageCache,
+    run_pipeline, sweep_key_space, CacheStats, CadRecipe, Deadline, PipelineError, PipelineOutput,
+    ProcessKey, ProcessPlan, StageCache,
 };
 use std::fmt::Write as _;
 
 /// What to benchmark and how hard.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchConfig {
-    /// Tiny workloads and a single pipeline pass for the end-to-end row —
-    /// finishes in seconds; used by the CI smoke stage.
+    /// Tiny workloads — finishes in seconds; used by the CI smoke stage.
     pub smoke: bool,
     /// Thread budget for the optimized kernels' parallel paths.
     pub threads: usize,
-    /// Replicates for the end-to-end experiment suite (ignored in smoke).
-    pub replicates: usize,
     /// Equilibrium solver the optimized tensile kernel runs under
     /// (`fea` row only; the reference baseline is always the original
-    /// relaxation loop, and the experiment suite uses each plan's default).
+    /// relaxation loop).
     pub solver: FeaSolver,
     /// Also benchmark the service daemon: boot a server on a loopback
     /// port, drive it with the load generator, and commit latency
@@ -97,7 +97,6 @@ impl Default for BenchConfig {
         BenchConfig {
             smoke: false,
             threads,
-            replicates: 2,
             solver: FeaSolver::default(),
             serve: false,
         }
@@ -107,7 +106,7 @@ impl Default for BenchConfig {
 /// One kernel's timings: reference baseline vs optimized implementation.
 #[derive(Debug, Clone)]
 pub struct KernelResult {
-    /// Kernel name (`slicing`, `printing`, `fea`, `all_experiments`).
+    /// Kernel name (`slicing`, `printing`, `fea`, `sweep`).
     pub name: String,
     /// What the baseline implementation is.
     pub baseline: String,
@@ -517,7 +516,7 @@ impl BenchReport {
             }
         }
         out.push_str(
-            "\nbaselines are the original seed implementations (KernelMode::Reference);\n\
+            "\nbaselines are the original seed implementations (the reference kernels);\n\
              parallel output is asserted bit-identical to serial by the test suite.\n",
         );
         out
@@ -1572,40 +1571,6 @@ fn bench_fea(w: &Workload, config: &BenchConfig) -> KernelResult {
     }
 }
 
-/// Runs the experiment suite and returns total rendered length (a cheap
-/// way to keep every section's work observable).
-fn run_suite(smoke: bool, replicates: usize) -> usize {
-    use crate::experiments as ex;
-    if smoke {
-        return ex::fig3_stages().len();
-    }
-    type Section = (&'static str, Box<dyn Fn() -> String>);
-    let timed: Vec<Section> = vec![
-        ("table1", Box::new(ex::table1_risks)),
-        ("fig3", Box::new(ex::fig3_stages)),
-        ("fig4", Box::new(ex::fig4_gaps)),
-        ("fig5", Box::new(ex::fig5_resolution)),
-        ("fig7", Box::new(ex::fig7_slicing)),
-        ("fig8", Box::new(ex::fig8_surface)),
-        ("table2", Box::new(move || ex::table2_tensile(replicates))),
-        ("fig9", Box::new(ex::fig9_fracture)),
-        ("table3", Box::new(ex::table3_printing)),
-        ("sidechannel", Box::new(ex::sidechannel_recon)),
-        ("keyspace", Box::new(ex::ablation_keyspace)),
-        ("multikey", Box::new(ex::ablation_multikey)),
-        ("sparse", Box::new(ex::ablation_sparse_infill)),
-        ("repair", Box::new(ex::ablation_repair)),
-        ("auth", Box::new(ex::authentication_demo)),
-    ];
-    let mut total = 0usize;
-    for (name, f) in &timed {
-        let t = Instant::now();
-        total += f().len();
-        eprintln!("  section {name}: {:.0} ms", t.elapsed().as_secs_f64()*1e3);
-    }
-    total
-}
-
 /// Folds the observables that matter (weights, scan volumes, tool-path
 /// lengths, UTS) into an order-sensitive digest, cheaply — full bit-identity
 /// between the sweep engine and cold runs is pinned by the committed
@@ -1720,47 +1685,6 @@ fn bench_sweep(config: &BenchConfig) -> (KernelResult, CacheStats) {
     (kernel, stats)
 }
 
-fn bench_end_to_end(config: &BenchConfig) -> KernelResult {
-    // Both timed runs start from an empty experiment cache: each side still
-    // benefits from intra-suite prefix sharing (that is the PR 3 change to
-    // the suite itself), but a warm cache from a previous run — or from the
-    // other kernel mode's pass, whose mesh stage is mode-independent —
-    // never flatters a timing.
-    set_kernel_mode(KernelMode::Reference);
-    let (baseline_ms, len_ref) = time_best(1, || {
-        crate::experiments::experiment_cache().clear();
-        run_suite(config.smoke, config.replicates)
-    });
-    set_kernel_mode(KernelMode::SpanPlan);
-    let before = solver_counters();
-    let (optimized_ms, len_opt) = time_best(1, || {
-        crate::experiments::experiment_cache().clear();
-        run_suite(config.smoke, config.replicates)
-    });
-    let work = solver_counters().since(&before);
-    // Tensile numbers drift at solver tolerance between kernel modes (see
-    // `bench_fea`), so rendered reports can differ by a few characters; a
-    // large delta would mean an experiment took a different branch.
-    let delta = len_ref.abs_diff(len_opt);
-    assert!(
-        delta * 100 <= len_ref,
-        "experiment suite output differs between kernel modes: {len_ref} vs {len_opt} bytes"
-    );
-    let suite = if config.smoke { "fig3 stages only (smoke)" } else { "all 15 experiment sections" };
-    KernelResult {
-        name: "all_experiments".to_string(),
-        baseline: format!("{suite}, reference kernels"),
-        optimized: format!("{suite}, optimized kernels"),
-        threads: 1,
-        baseline_ms,
-        optimized_ms,
-        inner_iters: work.inner_iters(),
-        residual_evals: work.force_evals,
-        spans_planned: 0,
-        span_fill_voxels: 0,
-    }
-}
-
 /// Runs the whole benchmark suite and collects the report.
 pub fn run_benchmarks(config: &BenchConfig) -> BenchReport {
     run_selected_benchmarks(config, None)
@@ -1788,9 +1712,6 @@ pub fn run_selected_benchmarks(config: &BenchConfig, filter: Option<&str>) -> Be
         let (kernel, stats) = bench_sweep(config);
         kernels.push(kernel);
         cache = stats;
-    }
-    if wants("all_experiments") {
-        kernels.push(bench_end_to_end(config));
     }
     let serve = if config.serve && wants("serve") { Some(bench_serve(config)) } else { None };
     let fleet = if config.serve && wants("fleet") { Some(bench_fleet(config)) } else { None };
@@ -2128,7 +2049,6 @@ mod tests {
             config: BenchConfig {
                 smoke: true,
                 threads: 4,
-                replicates: 1,
                 solver: FeaSolver::NewtonPcg,
                 serve: false,
             },

@@ -59,6 +59,8 @@ COMMANDS:
                      sidechannel|detect|keyspace|multikey|sparse|repair|auth|all
                      (detect is the §16 ROC sweep; it runs on demand and
                       is not part of `all`)
+                     [--replicates N]           tensile specimens per Table 2 cell
+                                                (default 3; at least 1)
     sweep          evaluate the full process-key space (Table 3 recipes ×
                    resolutions × orientations) through the shared-prefix
                    batch engine and report each key's printed outcome
@@ -179,7 +181,6 @@ COMMANDS:
                    and write a BENCH_*.json report
                      [--smoke]                  tiny workloads (CI smoke stage)
                      [--threads N]              parallel-path thread budget (default: all cores)
-                     [--replicates N]           end-to-end replicates (default 2)
                      [--solver SOLVER]          tensile solver for the optimized fea row:
                                                 newton-pcg (default) | relaxation
                      [--serve]                  also bench the daemon end to end: a
@@ -191,7 +192,7 @@ COMMANDS:
                                                 router, per-node cache hits + warm hit
                                                 rate per point)
                      [--only KERNEL]            slicing|printing|fea|sweep|
-                                                all_experiments|serve|fleet|detect
+                                                serve|fleet|detect
                      [--out FILE.json]          (default BENCH_PR10.json)
                      [--check FILE.json]        validate an existing report instead of
                                                 benchmarking; fail on any speedup < 1.0
@@ -568,9 +569,14 @@ pub fn report(args: &[String]) -> CliResult {
     use obfuscade_bench::experiments as e;
     let (positional, flags) = parse_flags(args);
     let which = positional.first().map(String::as_str).unwrap_or("all");
+    // Zero replicates would print Table 2 as all-zero statistics, so it is
+    // rejected like an unparseable count.
     let replicates: usize = flags
         .get("replicates")
-        .map(|v| v.parse().map_err(|_| format!("bad --replicates value `{v}`")))
+        .map(|v| match v.parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(n),
+            _ => Err(format!("bad --replicates value `{v}` (need a whole number >= 1)")),
+        })
         .transpose()?
         .unwrap_or(3);
     let sections: Vec<String> = match which {
@@ -584,8 +590,7 @@ pub fn report(args: &[String]) -> CliResult {
         "table2" => vec![e::table2_tensile(replicates)],
         "table3" => vec![e::table3_printing()],
         "sidechannel" => vec![e::sidechannel_recon()],
-        // Not part of `all`: the full ROC sweep is deliberately outside
-        // the timed 15-section suite (see `bench_end_to_end`).
+        // Not part of `all`: the full ROC sweep runs only on request.
         "detect" => vec![e::detection_roc()],
         "keyspace" => vec![e::ablation_keyspace()],
         "multikey" => vec![e::ablation_multikey()],
@@ -887,16 +892,13 @@ pub fn bench(args: &[String]) -> CliResult {
     let config = BenchConfig {
         smoke: flags.contains_key("smoke"),
         threads: parse_usize("threads", defaults.threads)?.max(1),
-        replicates: parse_usize("replicates", defaults.replicates)?.max(1),
         solver: solver_flag(&flags)?,
         serve: flags.contains_key("serve"),
     };
     let out_path = flags.get("out").map(String::as_str).unwrap_or("BENCH_PR10.json");
     let only = flags.get("only").map(String::as_str);
     if let Some(name) = only {
-        if !["slicing", "printing", "fea", "sweep", "all_experiments", "serve", "fleet", "detect"]
-            .contains(&name)
-        {
+        if !["slicing", "printing", "fea", "sweep", "serve", "fleet", "detect"].contains(&name) {
             return Err(format!("unknown kernel `{name}` for --only"));
         }
         if (name == "serve" || name == "fleet") && !config.serve {
@@ -905,10 +907,9 @@ pub fn bench(args: &[String]) -> CliResult {
     }
 
     eprintln!(
-        "benchmarking {} (threads={}, replicates={}, solver={})…",
+        "benchmarking {} (threads={}, solver={})…",
         if config.smoke { "smoke workloads" } else { "full workloads" },
         config.threads,
-        config.replicates,
         config.solver
     );
     let report = run_selected_benchmarks(&config, only);
@@ -1538,6 +1539,15 @@ mod tests {
         assert!(protect(&["--out".into(), "/nonexistent-dir-xyz/o.stl".into()]).is_err());
         assert!(inspect(&[]).is_err());
         assert!(slice(&[]).is_err());
+    }
+
+    #[test]
+    fn report_rejects_replicate_counts_below_one() {
+        for bad in ["0", "-1", "five"] {
+            let err = report(&["table2".into(), "--replicates".into(), bad.into()])
+                .expect_err("replicate count must be rejected");
+            assert!(err.contains("--replicates"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * [`StageKey`] — a 128-bit canonical content hash over a stage's
 //!   *complete* input set (part recipe, [`am_mesh::Resolution`],
 //!   [`am_slicer::Orientation`], [`am_slicer::SlicerConfig`],
-//!   [`am_printer::PrinterProfile`], seed, active [`crate::FaultPlan`],
-//!   kernel mode), produced by [`StageHasher`] — a vendored two-lane
+//!   [`am_printer::PrinterProfile`], seed, active [`crate::FaultPlan`]),
+//!   produced by [`StageHasher`] — a vendored two-lane
 //!   FNV-1a/splitmix-style hasher, so the repo stays free of external
 //!   dependencies.
 //! * [`StageCache`] — a bounded, thread-safe, content-addressed map from
@@ -170,21 +170,20 @@ impl fmt::Display for StageKey {
 /// job description — nothing is meshed or sliced to compute it.
 ///
 /// Two jobs share this key exactly when they share the whole mesh→slice
-/// chain (same part recipe, resolution, orientation, slicer config,
-/// upstream faults, and deposition kernel mode), i.e. when running them on
-/// the same [`StageCache`] lets the second reuse the first's warm mesh and
-/// slice entries. That makes it the canonical *affinity* hash input for a
-/// router tier: sending same-prefix jobs to the same backend daemon
-/// preserves the shared-prefix warming of [`crate::run_pipeline_jobs`]
-/// across a fleet. The `prefix_key_is_the_slice_stage_cache_key` pin test
-/// in `crate::pipeline` proves this function returns byte-for-byte the key
+/// chain (same part recipe, resolution, orientation, slicer config, and
+/// upstream faults), i.e. when running them on the same [`StageCache`]
+/// lets the second reuse the first's warm mesh and slice entries. That
+/// makes it the canonical *affinity* hash input for a router tier:
+/// sending same-prefix jobs to the same backend daemon preserves the
+/// shared-prefix warming of [`crate::run_pipeline_jobs`] across a fleet.
+/// The `prefix_key_is_the_slice_stage_cache_key` pin test in
+/// `crate::pipeline` proves this function returns byte-for-byte the key
 /// the pipeline actually computes at the slice stage, so router hashing
 /// can never drift from cache contents.
 ///
-/// Note the key absorbs the process-global [`crate::kernel_mode`], exactly
-/// as the slice stage itself does; router and daemons agree as long as
-/// they run the same kernel mode (both default to
-/// [`crate::KernelMode::SpanPlan`]).
+/// The key depends on the job description alone — no process state — so
+/// a router and its daemons always agree on it, and
+/// `stage_keys_match_recorded_literals` pins its value across releases.
 pub fn prefix_key_for_job(
     part: &am_cad::Part,
     plan: &crate::ProcessPlan,

@@ -65,7 +65,6 @@ pub mod json;
 mod key;
 pub mod metrics;
 mod multikey;
-mod perf;
 mod pipeline;
 mod quality;
 pub mod risk;
@@ -86,7 +85,6 @@ pub use fault::{
     FaultParseError, FaultPlan, FirmwareFault, SlicerFault, StlFault, ToolpathFault,
 };
 pub use key::{CadRecipe, ProcessKey};
-pub use perf::{kernel_mode, set_kernel_mode, KernelMode};
 pub use multikey::MultiSphereScheme;
 pub use am_fea::{solver_counters, FeaSolver, SolverCounters, SolverPoolStats};
 pub use pipeline::{

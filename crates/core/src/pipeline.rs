@@ -24,8 +24,7 @@ use std::time::{Duration, Instant};
 
 use am_cad::{CadError, Part};
 use am_fea::{
-    try_run_tensile_test_reference, FeaConfigError, FeaSolver, Lattice, SolverPool,
-    SolverPoolStats, TensileConfig, TensileResult,
+    FeaConfigError, FeaSolver, Lattice, SolverPool, SolverPoolStats, TensileConfig, TensileResult,
 };
 use am_geom::Tolerance;
 use am_par::Parallelism;
@@ -38,14 +37,13 @@ use am_printer::{
     ScanReport,
 };
 use am_slicer::{
-    build_transform, diagnose_slices, orient_shells, slice_shells_scan, try_generate_toolpath,
-    try_slice_shells_with, ConfigError, GcodeError, Orientation, SliceError, SliceReport,
-    SlicerConfig, ToolMaterial, ToolPath, ToolpathError,
+    build_transform, diagnose_slices, orient_shells, try_generate_toolpath, try_slice_shells_with,
+    ConfigError, GcodeError, Orientation, SliceError, SliceReport, SlicerConfig, ToolMaterial,
+    ToolPath, ToolpathError,
 };
 
 use crate::cache::{StageArtifact, StageCache, StageHasher, StageKey};
 use crate::fault::FaultPlan;
-use crate::perf::{kernel_mode, KernelMode};
 
 /// A complete manufacturing plan: every processing choice from STL export
 /// to the machine. Together with the CAD recipe (applied at part
@@ -64,8 +62,7 @@ pub struct ProcessPlan {
     pub seed: u64,
     /// Whether to run the (comparatively costly) virtual tensile test.
     pub tensile: bool,
-    /// Equilibrium solver for the tensile kernel (`Optimized` mode only;
-    /// the `Reference` kernel always runs its own relaxation loop).
+    /// Equilibrium solver for the tensile kernel.
     pub fea_solver: FeaSolver,
     /// Thread budget for the parallel kernels (slicing, deposition, FEA
     /// relaxation). Every budget produces bit-identical output; the default
@@ -568,7 +565,7 @@ pub struct ToolpathPlan {
     pub toolpath: ToolPath,
     /// Tool-path statistics (road lengths, layer count, time estimate).
     pub stats: ToolPathStats,
-    /// The slice-stage build transform — what the deposition kernels need
+    /// The slice-stage build transform — what the deposition kernel needs
     /// to print this tool path (see [`print_toolpath`]).
     pub to_build: am_geom::Transform3,
     /// The tool-path stage key: chained mesh → slice → toolpath hash of
@@ -615,9 +612,10 @@ pub fn plan_toolpath(
 }
 
 /// Prints an arbitrary tool path under `plan`'s machine profile and
-/// process-noise seed, through the **same** kernel dispatch as the
-/// pipeline's print stage, and returns the deposited part with support
-/// dissolved.
+/// process-noise seed with the span-plan deposition kernel
+/// ([`PrintedPart::try_from_toolpath_planned`]), and returns the deposited
+/// part with support dissolved. The pipeline's print stage deposits
+/// through this function, so it is the one production deposition path.
 ///
 /// This is the sanitizer's fingerprint oracle: printing the original and
 /// the sanitized tool path through one code path makes
@@ -634,28 +632,13 @@ pub fn print_toolpath(
     plan: &ProcessPlan,
     to_build: am_geom::Transform3,
 ) -> Result<PrintedPart, PipelineError> {
-    let mut printed = match kernel_mode() {
-        KernelMode::SpanPlan => PrintedPart::try_from_toolpath_planned(
-            toolpath,
-            &plan.printer,
-            to_build,
-            plan.seed,
-            plan.parallelism,
-        ),
-        KernelMode::Optimized => PrintedPart::try_from_toolpath_with(
-            toolpath,
-            &plan.printer,
-            to_build,
-            plan.seed,
-            plan.parallelism,
-        ),
-        KernelMode::Reference => PrintedPart::try_from_toolpath_reference(
-            toolpath,
-            &plan.printer,
-            to_build,
-            plan.seed,
-        ),
-    }
+    let mut printed = PrintedPart::try_from_toolpath_planned(
+        toolpath,
+        &plan.printer,
+        to_build,
+        plan.seed,
+        plan.parallelism,
+    )
     .map_err(PipelineError::Print)?;
     printed.dissolve_support();
     Ok(printed)
@@ -958,11 +941,7 @@ fn mesh_key(part: &Part, plan: &ProcessPlan, faults: &FaultPlan) -> StageKey {
 }
 
 /// Slice-stage key: mesh key + orientation + the plan's slicer config,
-/// poisoned by slicer faults. The kernel mode's discriminant enters here
-/// (slicing is the first kernel-dispatched stage) and every downstream key
-/// inherits it through the chain, so `Reference`, `Optimized`, and
-/// `SpanPlan` runs never alias — a `SpanPlan` print never resurrects a
-/// cached `Optimized` `print` entry or vice versa.
+/// poisoned by slicer faults.
 fn slice_key(mesh: StageKey, plan: &ProcessPlan, faults: &FaultPlan) -> StageKey {
     let mut h = StageHasher::new("obfuscade/slice/v2");
     h.write_key(mesh);
@@ -972,9 +951,17 @@ fn slice_key(mesh: StageKey, plan: &ProcessPlan, faults: &FaultPlan) -> StageKey
     for fault in &faults.slicer {
         h.write_str(&fault.to_string());
     }
-    h.write_u8(kernel_mode() as u8);
+    h.write_u8(SLICE_KEY_KERNEL_BYTE);
     h.finish()
 }
+
+/// The constant byte [`slice_key`] hashes last: the discriminant the
+/// span-plan kernels had when a process-global mode chose among kernels.
+/// It stays so every key keeps its value — the slice key (and each key
+/// chained from it) names spill-tier segment records and is the router's
+/// placement key, so dropping it would cold-miss every spilled record and
+/// move routed job families to other nodes.
+const SLICE_KEY_KERNEL_BYTE: u8 = 2;
 
 /// Tool-path-stage key: slice key + printer profile (road planning and the
 /// firmware envelope both read it), poisoned by tool-path faults (entries
@@ -1139,13 +1126,8 @@ fn slice_stage(
         .map(|m| m.transformed(&bed_margin))
         .collect();
     let to_build = build_transform(&mesh.shells, plan.orientation).then(&bed_margin);
-    let sliced = match kernel_mode() {
-        KernelMode::Optimized | KernelMode::SpanPlan => {
-            try_slice_shells_with(&oriented, config.layer_height, plan.parallelism)
-        }
-        KernelMode::Reference => slice_shells_scan(&oriented, config.layer_height),
-    }
-    .map_err(PipelineError::Slice)?;
+    let sliced = try_slice_shells_with(&oriented, config.layer_height, plan.parallelism)
+        .map_err(PipelineError::Slice)?;
     let slice_report = diagnose_slices(&sliced, config.analysis_cell);
     let open_paths: usize = sliced.layers.iter().map(|l| l.open_paths.len()).sum();
     if open_paths > 0 {
@@ -1237,30 +1219,7 @@ fn print_stage(
 ) -> Result<PrintArtifact, PipelineError> {
     let mut outcomes: Vec<StageOutcome> = Vec::new();
 
-    let mut printed = match kernel_mode() {
-        KernelMode::SpanPlan => PrintedPart::try_from_toolpath_planned(
-            &toolpath.toolpath,
-            &plan.printer,
-            slice.to_build,
-            plan.seed,
-            plan.parallelism,
-        ),
-        KernelMode::Optimized => PrintedPart::try_from_toolpath_with(
-            &toolpath.toolpath,
-            &plan.printer,
-            slice.to_build,
-            plan.seed,
-            plan.parallelism,
-        ),
-        KernelMode::Reference => PrintedPart::try_from_toolpath_reference(
-            &toolpath.toolpath,
-            &plan.printer,
-            slice.to_build,
-            plan.seed,
-        ),
-    }
-    .map_err(PipelineError::Print)?;
-    printed.dissolve_support();
+    let printed = print_toolpath(&toolpath.toolpath, plan, slice.to_build)?;
     outcomes.push(StageOutcome { stage: Stage::Print, status: StageStatus::Clean });
 
     let scan_report = scan(&printed);
@@ -1269,9 +1228,9 @@ fn print_stage(
     Ok(PrintArtifact { printed: Arc::new(printed), scan: scan_report, outcomes })
 }
 
-/// The virtual tensile test. The optimized kernel runs the plan's
-/// [`FeaSolver`] through the process-wide [`SolverPool`], so replicate
-/// sweeps recycle solver state across specimens.
+/// The virtual tensile test: runs the plan's [`FeaSolver`] through the
+/// process-wide [`SolverPool`], so replicate sweeps recycle solver state
+/// across specimens.
 fn tensile_stage(
     print: &PrintArtifact,
     plan: &ProcessPlan,
@@ -1284,13 +1243,9 @@ fn tensile_stage(
     };
     let mut lattice = Lattice::try_from_printed(&print.printed, &tensile_config, plan.seed)
         .map_err(PipelineError::Tensile)?;
-    match kernel_mode() {
-        KernelMode::Optimized | KernelMode::SpanPlan => fea_solver_pool()
-            .run(&mut lattice, &tensile_config, plan.parallelism)
-            .map_err(PipelineError::Tensile),
-        KernelMode::Reference => try_run_tensile_test_reference(&mut lattice, &tensile_config)
-            .map_err(PipelineError::Tensile),
-    }
+    fea_solver_pool()
+        .run(&mut lattice, &tensile_config, plan.parallelism)
+        .map_err(PipelineError::Tensile)
 }
 
 // --- Cached stage lookup ------------------------------------------------
@@ -1534,8 +1489,6 @@ mod tests {
     /// would hash jobs to a node whose cache files them elsewhere.
     #[test]
     fn prefix_key_is_the_slice_stage_cache_key() {
-        let _guard = crate::perf::KERNEL_MODE_TEST_LOCK.lock().unwrap();
-        crate::perf::set_kernel_mode(KernelMode::SpanPlan);
         let part = base_part();
         let plan = ProcessPlan::fdm(Resolution::Coarse, Orientation::Xy);
         let faulted = "stl.degenerate=3"
@@ -1557,42 +1510,6 @@ mod tests {
                     cached.is_some(),
                     "cached run left no slice artifact under the public prefix key"
                 );
-            }
-        }
-    }
-
-    /// Each kernel mode must hash to its own key chain: the three modes
-    /// produce bit-identical artifacts, but a cached entry records which
-    /// implementation produced it, and the bench harness relies on a mode
-    /// switch forcing a recompute. A new discriminant aliasing an old one
-    /// would silently serve `Optimized`-era `print` entries to `SpanPlan`.
-    #[test]
-    fn kernel_modes_never_alias_stage_keys() {
-        let _guard = crate::perf::KERNEL_MODE_TEST_LOCK.lock().unwrap();
-        let part = base_part();
-        let plan = ProcessPlan::fdm(Resolution::Coarse, Orientation::Xy);
-        let modes = [KernelMode::Reference, KernelMode::Optimized, KernelMode::SpanPlan];
-        let keys: Vec<PlanKeys> = modes
-            .iter()
-            .map(|&mode| {
-                crate::perf::set_kernel_mode(mode);
-                keys_for(&part, &plan)
-            })
-            .collect();
-        crate::perf::set_kernel_mode(KernelMode::SpanPlan);
-        for a in 0..modes.len() {
-            for b in a + 1..modes.len() {
-                for (stage, ka, kb) in [
-                    ("slice", keys[a].slice, keys[b].slice),
-                    ("toolpath", keys[a].toolpath, keys[b].toolpath),
-                    ("print", keys[a].print, keys[b].print),
-                ] {
-                    assert_ne!(
-                        ka, kb,
-                        "{stage} key aliases between {:?} and {:?}",
-                        modes[a], modes[b]
-                    );
-                }
             }
         }
     }
@@ -1799,6 +1716,58 @@ mod tests {
             tensile_key(base.print, &other_solver, 0.9),
             "tensile key insensitive to the fea solver"
         );
+    }
+
+    /// Literal pins of the mesh, slice, tool-path and print keys. The
+    /// stage key names spill-tier segment records, and the slice key is
+    /// also the router's placement key ([`crate::prefix_key_for_job`]),
+    /// so any change to the hashed byte stream — including dropping the
+    /// constant kernel byte at the end of [`slice_key`] — would cold-miss
+    /// every spilled record and re-home routed job families. A schema
+    /// change that is meant to re-key must re-pin these in the same commit.
+    #[test]
+    fn stage_keys_match_recorded_literals() {
+        let bar = tensile_bar_with_spline(&TensileBarDims::default()).expect("bar");
+        let degenerate = "stl.degenerate=3".parse::<FaultPlan>().expect("spec").with_seed(7);
+        let coarse_xy = ProcessPlan::fdm(Resolution::Coarse, Orientation::Xy);
+        let cases = [
+            (
+                "prism coarse xy",
+                keys_for(&base_part(), &coarse_xy),
+                [
+                    [0x13dcbfb20b97bd0e, 0xbfd5655b272433f1],
+                    [0x6ce3241a2e4fddfc, 0xa5bd596d97f72b0a],
+                    [0x75f6d0778484e642, 0xf9c54575e6b1289b],
+                    [0x4478e4eb056d5ed1, 0x5eab7936beeeb9de],
+                ],
+            ),
+            (
+                "prism coarse xy, stl.degenerate=3 seed 7",
+                plan_keys(&base_part(), &coarse_xy, &degenerate),
+                [
+                    [0xb9a36b735a9db9df, 0xced951ce3d776bca],
+                    [0xa449a6bd03d89bcf, 0xa8c64b081fe0775c],
+                    [0xfbc902e168ad10e9, 0x25602dec6eb7a9ed],
+                    [0xdb84b91b918bd7fc, 0x0cba29af34189349],
+                ],
+            ),
+            (
+                "spline bar fine xz",
+                keys_for(&bar, &ProcessPlan::fdm(Resolution::Fine, Orientation::Xz)),
+                [
+                    [0x7c88796e4c26013d, 0xc30ecd46fc1e95af],
+                    [0xe2d4ee498b9caa93, 0x4c25fe2e9ea01d39],
+                    [0x190a601525d9eb9e, 0x97405d214fa99a98],
+                    [0x5ef95612e3b7b0bf, 0xaf7eadf4a2672aaa],
+                ],
+            ),
+        ];
+        for (name, keys, [mesh, slice, toolpath, print]) in cases {
+            assert_eq!(keys.mesh.to_words(), mesh, "{name}: mesh key");
+            assert_eq!(keys.slice.to_words(), slice, "{name}: slice key");
+            assert_eq!(keys.toolpath.to_words(), toolpath, "{name}: tool-path key");
+            assert_eq!(keys.print.to_words(), print, "{name}: print key");
+        }
     }
 
     /// Fault poisoning at the key level: fault entries (and the fault seed)

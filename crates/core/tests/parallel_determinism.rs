@@ -1,15 +1,14 @@
 //! Determinism properties for the parallel execution engine (PR 2).
 //!
-//! With the optimized kernels active (the default), every
-//! [`am_par::Parallelism`] budget must drive the pipeline to **bit-identical
-//! output** — clean runs and seeded fault-injection runs alike. The
-//! robustness suite's fault replay and the mesh fingerprints both assume
-//! that turning threads on changes nothing but wall-clock time, so any
-//! float that shifts with the thread count is a bug, not noise. Comparing
-//! the `Debug` rendering of the whole `Result` makes the check exhaustive:
-//! Rust prints `f64`s shortest-round-trip, so a single ULP of drift
-//! anywhere in the output (voxel grid, tensile curve, diagnostics) breaks
-//! the string equality.
+//! Every [`am_par::Parallelism`] budget must drive the pipeline's
+//! production kernels to **bit-identical output** — clean runs and seeded
+//! fault-injection runs alike. The robustness suite's fault replay and
+//! the mesh fingerprints both assume that turning threads on changes
+//! nothing but wall-clock time, so any float that shifts with the thread
+//! count is a bug, not noise. Comparing the `Debug` rendering of the
+//! whole `Result` makes the check exhaustive: Rust prints `f64`s
+//! shortest-round-trip, so a single ULP of drift anywhere in the output
+//! (voxel grid, tensile curve, diagnostics) breaks the string equality.
 
 use am_cad::parts::{prism_with_sphere, PrismDims};
 use am_cad::{BodyKind, MaterialRemoval, Part};

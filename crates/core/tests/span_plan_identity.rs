@@ -1,36 +1,43 @@
-//! Bit-identity of the span-plan deposition kernel vs the stamper oracle
-//! (ISSUE 7).
+//! Bit-identity of the production slicing and deposition kernels against
+//! their reference oracles.
 //!
-//! The span-plan kernel replans every layer's roads into row spans and
-//! fills them whole; the road-at-a-time reference stamper stays in the
-//! tree as the oracle. This property drives the *full pipeline* — random
-//! specimens through slicing, tool-path planning, seeded fault injection,
-//! and deposition — once under [`KernelMode::Reference`] and then under
-//! [`KernelMode::SpanPlan`] at every thread budget in {1, 2, 4, 8}, and
-//! requires the complete `Debug` rendering of the output to match. Rust
-//! prints `f64`s shortest-round-trip, so one ULP of drift anywhere in the
-//! voxel grid, body attribution, scan report, or diagnostics breaks the
-//! string equality.
+//! Each case is a random sphere prism under one of five fault specs and
+//! one of two build orientations, checked twice:
 //!
-//! This file stays a single-`#[test]` binary on purpose: the kernel mode
-//! is a process-wide global, and a sibling test in the same binary would
-//! race the flips.
+//! * **Slicing.** The exported shells, damaged by the case's STL faults
+//!   through the public [`obfuscade::StlFault::apply`], are sliced by the
+//!   per-layer full-mesh scan ([`slice_shells_scan`], the oracle) and by
+//!   the interval-sweep slicer the pipeline runs
+//!   ([`try_slice_shells_with`]) at every thread budget in {1, 2, 4, 8}.
+//! * **Deposition.** The pipeline's own faulted, firmware-vetted tool path
+//!   ([`plan_toolpath`]) is deposited by the road-at-a-time reference
+//!   loop ([`PrintedPart::try_from_toolpath_reference`], then support
+//!   dissolution) and by the pipeline's deposition path
+//!   ([`print_toolpath`], the span-plan kernel) at every thread budget in
+//!   {1, 2, 4, 8}.
+//!
+//! Both checks compare complete `Debug` renderings. Rust prints `f64`s
+//! shortest-round-trip, so one ULP of drift anywhere in a contour, the
+//! voxel grid, or body attribution breaks the string equality.
 
 use am_cad::parts::{prism_with_sphere, PrismDims};
 use am_cad::{BodyKind, MaterialRemoval, Part};
 use am_geom::Point3;
-use am_mesh::Resolution;
+use am_mesh::{tessellate_shells, Resolution};
 use am_par::Parallelism;
-use am_slicer::{Orientation, SlicerConfig};
+use am_printer::PrintedPart;
+use am_slicer::{
+    orient_shells, slice_shells_scan, try_slice_shells_with, Orientation, SlicerConfig,
+};
 use obfuscade::{
-    run_pipeline_with_faults, set_kernel_mode, FaultPlan, KernelMode, ProcessPlan,
+    plan_toolpath, print_toolpath, Deadline, FaultPlan, PipelineError, ProcessPlan, StageCache,
 };
 use proptest::prelude::*;
 
 /// Fault specs spanning the catalog's stages, plus the clean run — the
-/// same spread the thread-count determinism property uses. Tool-path
-/// faults matter most here: duplicated and dropped roads reshape the
-/// span plans the kernel compiles.
+/// same spread the thread-count determinism property uses. STL faults
+/// reshape the mesh the slicers cut; tool-path faults (duplicated and
+/// dropped roads) reshape the span plans the deposition kernel compiles.
 const FAULT_SPECS: &[&str] = &[
     "",
     "stl.degenerate=3",
@@ -38,6 +45,8 @@ const FAULT_SPECS: &[&str] = &[
     "stl.drift=0.2:4 firmware.escape=250",
     "slicer.zero_layer toolpath.drop=0.5",
 ];
+
+const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn fault_plan(spec: &str, seed: u64) -> FaultPlan {
     if spec.is_empty() {
@@ -71,25 +80,60 @@ proptest! {
             ..SlicerConfig::default()
         };
 
-        let run = |mode: KernelMode, parallelism: Parallelism| {
-            set_kernel_mode(mode);
-            let plan = plan.clone().with_parallelism(parallelism);
-            let rendered = format!("{:?}", run_pipeline_with_faults(&part, &plan, &faults));
-            set_kernel_mode(KernelMode::SpanPlan);
-            rendered
-        };
-        let oracle = run(KernelMode::Reference, Parallelism::serial());
-        for threads in [1usize, 2, 4, 8] {
-            let planned = run(KernelMode::SpanPlan, Parallelism::threads(threads));
+        // --- Slicing: per-layer scan oracle vs interval sweep -------------
+        let resolved = part.resolve().expect("resolve");
+        let mut shells = tessellate_shells(&resolved, &plan.resolution.params());
+        for (i, fault) in faults.stl.iter().enumerate() {
+            let seed = fault_seed.wrapping_add(i as u64);
+            for shell in &mut shells {
+                *shell = fault.apply(shell, seed).expect("STL fault");
+            }
+        }
+        let oriented = orient_shells(&shells, orientation);
+        let scanned = format!("{:?}", slice_shells_scan(&oriented, layer));
+        for threads in THREADS {
+            let swept = try_slice_shells_with(&oriented, layer, Parallelism::threads(threads));
             prop_assert_eq!(
-                &oracle,
-                &planned,
-                "span-plan kernel at {} thread(s) diverged from the stamper oracle \
+                &scanned,
+                &format!("{swept:?}"),
+                "interval sweep at {} thread(s) diverged from the scan oracle \
                  (faults: {:?}, seed {})",
                 threads,
                 FAULT_SPECS[spec_idx],
                 fault_seed
             );
+        }
+
+        // --- Deposition: reference loop vs the pipeline's print path ------
+        // Specs whose faults abort the chain before a tool path exists
+        // leave nothing to deposit.
+        let cache = StageCache::default();
+        if let Ok(planned) = plan_toolpath(&part, &plan, &faults, &cache, Deadline::none()) {
+            let oracle = PrintedPart::try_from_toolpath_reference(
+                &planned.toolpath,
+                &plan.printer,
+                planned.to_build,
+                plan.seed,
+            )
+            .map(|mut printed| {
+                printed.dissolve_support();
+                printed
+            })
+            .map_err(PipelineError::Print);
+            let oracle = format!("{oracle:?}");
+            for threads in THREADS {
+                let plan = plan.clone().with_parallelism(Parallelism::threads(threads));
+                let printed = print_toolpath(&planned.toolpath, &plan, planned.to_build);
+                prop_assert_eq!(
+                    &oracle,
+                    &format!("{printed:?}"),
+                    "span-plan deposition at {} thread(s) diverged from the reference \
+                     loop (faults: {:?}, seed {})",
+                    threads,
+                    FAULT_SPECS[spec_idx],
+                    fault_seed
+                );
+            }
         }
     }
 }

@@ -5,14 +5,17 @@ use std::str::FromStr;
 
 use am_slicer::Orientation;
 
-/// Equilibrium solver used by the optimized tensile kernel.
+/// Equilibrium solver used by the production tensile kernel
+/// ([`crate::SolverPool::run`], [`crate::run_tensile_test_with`]).
 ///
 /// Both solvers share the constitutive law and the force-residual
 /// convergence tolerance, so they land on the same equilibrium to within
 /// the solver tolerance; they differ only in how they get there (and how
-/// fast). The reference kernel in [`crate::run_tensile_test_reference`] is
-/// selected one level up (via `KernelMode` in the pipeline crate) and is
-/// not part of this enum.
+/// fast). The original scalar kernel,
+/// [`crate::run_tensile_test_reference`], is not part of this enum: no
+/// production path runs it. It is the oracle the solver-tracking tests
+/// compare both solvers against, and the fea row's baseline in
+/// `obfuscade bench`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FeaSolver {
     /// Matrix-free Newton–PCG: outer Newton iterations over the

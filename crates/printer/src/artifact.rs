@@ -1,22 +1,20 @@
 //! The printed artifact: a voxel model built by simulated deposition.
 //!
-//! Deposition has three interchangeable kernels (pinned bit-identical in
-//! tests):
+//! Deposition has two kernels, pinned bit-identical in tests:
 //!
-//! * the **span-plan** kernel ([`PrintedPart::try_from_toolpath_planned`],
-//!   the pipeline default) runs a two-phase scanline pipeline per layer —
-//!   a *plan* phase compiling the layer's roads into per-row span plans
-//!   (merged `[x_start, x_end)` fill intervals with per-voxel distance
-//!   tests only at the span-end caps) and an *execute* phase stamping
-//!   whole spans as slice fills (see DESIGN.md §13);
-//! * the **stamper** ([`PrintedPart::try_from_toolpath_with`]) precomputes
-//!   every road's jitter radius (same RNG draw order as the original
-//!   loop), groups roads by their — single — layer, and stamps whole
-//!   layers concurrently with squared-distance tests — retained as the
-//!   span-plan kernel's oracle;
+//! * the **span-plan** kernel ([`PrintedPart::try_from_toolpath_planned`])
+//!   is the production kernel: every other deposition entry point and the
+//!   pipeline's print stage run it. Per layer it runs a two-phase scanline
+//!   pipeline — a *plan* phase compiling the layer's roads into per-row
+//!   span plans (merged `[x_start, x_end)` fill intervals with per-voxel
+//!   distance tests only at the span-end caps) and an *execute* phase
+//!   stamping whole spans as slice fills (see DESIGN.md §13);
 //! * the **reference** kernel
 //!   ([`PrintedPart::try_from_toolpath_reference`]) is the original
-//!   road-at-a-time loop, kept as the benchmark baseline.
+//!   road-at-a-time loop. It is the oracle: the golden-grid digests, the
+//!   span-plan identity property and the unit tests below compare the
+//!   span-plan kernel against it, and `obfuscade bench` times it as the
+//!   printing row's baseline.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -222,7 +220,8 @@ impl PrintedPart {
     pub const MAX_VOXELS: u64 = 1 << 27;
 
     /// Deposits a tool path on the given machine, returning a typed error
-    /// instead of panicking on invalid input.
+    /// instead of panicking on invalid input. Runs the span-plan kernel
+    /// ([`PrintedPart::try_from_toolpath_planned`]) on one thread.
     ///
     /// # Errors
     ///
@@ -238,95 +237,13 @@ impl PrintedPart {
         to_build: Transform3,
         seed: u64,
     ) -> Result<Self, PrintError> {
-        Self::try_from_toolpath_with(toolpath, profile, to_build, seed, Parallelism::serial())
-    }
-
-    /// [`PrintedPart::try_from_toolpath`] with an explicit thread budget.
-    ///
-    /// Output is bit-identical for every `parallelism` value: every road
-    /// lands in exactly one voxel layer, so layers partition the writes;
-    /// jitter radii are drawn serially in road order (preserving the RNG
-    /// stream) and roads stamp in road order within each layer.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PrintedPart::try_from_toolpath`].
-    pub fn try_from_toolpath_with(
-        toolpath: &ToolPath,
-        profile: &PrinterProfile,
-        to_build: Transform3,
-        seed: u64,
-        parallelism: Parallelism,
-    ) -> Result<Self, PrintError> {
-        let mut part = Self::empty_grid(toolpath, profile, to_build, seed)?;
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        let radii: Vec<f64> = toolpath
-            .roads
-            .iter()
-            .map(|_| {
-                // Road-width modulation noise: under/over-extrusion.
-                let jitter: f64 = 1.0 + profile.noise_sigma * rng.gen_range(-1.5..1.5);
-                (toolpath.road_width / 2.0) * jitter.clamp(0.6, 1.4)
-            })
-            .collect();
-
-        // Group road indices by voxel layer (order-preserving, so each
-        // layer stamps its roads in the same order the serial loop would).
-        let mut layer_roads: Vec<Vec<u32>> = vec![Vec::new(); part.nz];
-        for (ri, road) in toolpath.roads.iter().enumerate() {
-            let k = ((road.z - part.origin.z) / part.voxel_z).floor();
-            if k >= 0.0 && (k as usize) < part.nz {
-                layer_roads[k as usize].push(ri as u32);
-            }
-        }
-
-        // Each road's squared radius is used once per voxel-row test;
-        // compute it once per road, up front.
-        let radii_sq: Vec<f64> = radii.iter().map(|r| r * r).collect();
-
-        let plane = part.nx * part.ny;
-        let (origin, voxel_xy, nx, ny) = (part.origin, part.voxel_xy, part.nx, part.ny);
-        // Hand each worker a contiguous *range* of layers rather than one
-        // layer at a time: most parts have hundreds of thin layers, and
-        // per-layer work items made the distribution overhead (one mutex
-        // cell per layer) comparable to the stamping itself. Four chunks
-        // per worker keeps load balancing without the per-layer traffic.
-        let workers = parallelism.thread_count().min(part.nz.max(1));
-        let chunk_layers = part.nz.div_ceil(workers * 4).max(1);
-        let work: Vec<(usize, &mut [Material], &mut [u16])> = part
-            .material
-            .chunks_mut(plane * chunk_layers)
-            .zip(part.body.chunks_mut(plane * chunk_layers))
-            .enumerate()
-            .map(|(c, (m, b))| (c * chunk_layers, m, b))
-            .collect();
-        let pool = Pool::new(parallelism);
-        pool.par_consume(work, |(k0, chunk_mat, chunk_body)| {
-            for (dk, (layer_mat, layer_body)) in
-                chunk_mat.chunks_mut(plane).zip(chunk_body.chunks_mut(plane)).enumerate()
-            {
-                for &ri in &layer_roads[k0 + dk] {
-                    stamp_road_layer(
-                        layer_mat,
-                        layer_body,
-                        &toolpath.roads[ri as usize],
-                        radii[ri as usize],
-                        radii_sq[ri as usize],
-                        origin,
-                        voxel_xy,
-                        nx,
-                        ny,
-                    );
-                }
-            }
-        });
-        Ok(part)
+        Self::try_from_toolpath_planned(toolpath, profile, to_build, seed, Parallelism::serial())
     }
 
     /// The original road-at-a-time deposition loop: serial, one RNG draw
     /// then one stamp per road, exact (square-root) distance tests. Kept as
-    /// the benchmark baseline the optimized kernel is measured against.
+    /// the oracle the span-plan kernel is tested against and as
+    /// `obfuscade bench`'s printing baseline; no production path calls it.
     ///
     /// # Errors
     ///
@@ -351,15 +268,18 @@ impl PrintedPart {
     /// Scanline span-plan deposition (DESIGN.md §13): per layer, a **plan**
     /// phase compiles the roads — in road order — into per-row span plans
     /// (merged `[x_start, x_end)` fill intervals proven inside the road by
-    /// the squared-distance margin argument of [`STAMP_PROOF_MARGIN`], with
+    /// the squared-distance margin argument of `STAMP_PROOF_MARGIN`, with
     /// per-voxel distance tests deferred to the span-end caps), then an
     /// **execute** phase stamps each row's spans as contiguous slice fills.
-    /// Layers are chunked on the same `am-par` pool as
-    /// [`PrintedPart::try_from_toolpath_with`], which is retained as this
-    /// kernel's oracle: the output grid (material, body attribution and
-    /// support alike) is bit-identical across both kernels and every
-    /// thread count, because the plan replays exactly the write sequence
-    /// the stamper would issue — only batched into spans.
+    /// Layers are chunked across an `am-par` pool; every road lands in one
+    /// voxel layer, so layers partition the writes, and each layer replays
+    /// its roads in road order — only batched into spans. The output grid
+    /// (material, body attribution and support alike) is therefore
+    /// bit-identical at every thread count, and matches
+    /// [`PrintedPart::try_from_toolpath_reference`] on every pinned
+    /// workload. (The reference compares square-root distances, this
+    /// kernel squared ones; the two can only disagree on a voxel centre
+    /// within rounding error of a road boundary.)
     ///
     /// # Errors
     ///
@@ -468,8 +388,8 @@ impl PrintedPart {
     /// Order-stable 128-bit digest of the full voxel grid: dimensions,
     /// origin, voxel sizes, then every material and body value in storage
     /// order. Two grids digest equal iff the golden-fixture comparison
-    /// of the deposition kernels would pass — used to pin stamper output
-    /// without shipping megabytes of fixture.
+    /// of the deposition kernels would pass — used to pin deposition
+    /// output without shipping megabytes of fixture.
     pub fn grid_digest(&self) -> u128 {
         // Two independent FNV-1a lanes (different offset bases) over the
         // same byte stream; 2×64 bits makes an accidental collision across
@@ -836,7 +756,8 @@ fn write_voxel(
 
 /// Proof margin (**mm², squared-distance units only**) separating
 /// "provably inside/outside" from the exact per-voxel distance test in
-/// [`stamp_road_layer`]'s axis-aligned fast paths.
+/// the span-plan kernel's axis-aligned fast paths ([`plan_road_layer`],
+/// [`scan_span`]).
 ///
 /// Derivation of the error bound it must dominate: for an axis-aligned
 /// segment the reference [`am_geom::Segment2::distance_squared_to_point`]
@@ -857,171 +778,6 @@ fn write_voxel(
 /// `t = 0` with squared distance exactly `(cy − a.y)²`.
 const STAMP_PROOF_MARGIN: f64 = 1e-6;
 
-/// Stamps one road into its layer's material/body planes (row-major,
-/// `ny` rows × `nx` columns). Same AABB clamping and overwrite rules as
-/// [`PrintedPart::stamp_road`], but radius tests compare squared distances
-/// (no per-voxel square root), indexing is 2-D, and each row only visits
-/// the voxels whose centers can actually lie within `radius` of the
-/// segment: the segment is clipped to the row's y-slab and only the
-/// clipped span's x-extent (± radius) is scanned.
-///
-/// Axis-aligned roads — the entire raster infill and most perimeter
-/// segments — additionally take a span-fill fast path: along the interior
-/// of a horizontal road the squared distance to the segment is the row's
-/// constant `(cy − a.y)²`, so when that clears `radius_sq` by
-/// [`STAMP_PROOF_MARGIN`] the whole interior span is stamped with **no
-/// per-voxel distance test at all** (and symmetric per-voxel `(cx − a.x)²`
-/// comparisons handle vertical roads). Endpoint caps and margin-borderline
-/// rows run the reference test, so the stamped result is bit-identical to
-/// the full-AABB per-voxel scan.
-#[allow(clippy::too_many_arguments)]
-fn stamp_road_layer(
-    layer_mat: &mut [Material],
-    layer_body: &mut [u16],
-    road: &am_slicer::Road,
-    radius: f64,
-    radius_sq: f64,
-    origin: Point3,
-    voxel_xy: f64,
-    nx: usize,
-    ny: usize,
-) {
-    let material = match road.material {
-        ToolMaterial::Model => Material::Model,
-        ToolMaterial::Support => Material::Support,
-    };
-    let (a, b) = (road.from, road.to);
-    let seg_lo_y = a.y.min(b.y);
-    let seg_hi_y = a.y.max(b.y);
-    let lo_x = (a.x.min(b.x) - radius - origin.x) / voxel_xy;
-    let hi_x = (a.x.max(b.x) + radius - origin.x) / voxel_xy;
-    let lo_y = (seg_lo_y - radius - origin.y) / voxel_xy;
-    let hi_y = (seg_hi_y + radius - origin.y) / voxel_xy;
-    let i0 = lo_x.floor().max(0.0) as usize;
-    let i1 = (hi_x.ceil() as usize).min(nx - 1);
-    let j0 = lo_y.floor().max(0.0) as usize;
-    let j1 = (hi_y.ceil() as usize).min(ny - 1);
-    let seg = am_geom::Segment2::new(a, b);
-    let dx = b.x - a.x;
-    let dy = b.y - a.y;
-    let len2 = dx * dx + dy * dy;
-    let horizontal = dy == 0.0 && len2 > 0.0;
-    let vertical = dx == 0.0 && len2 > 0.0;
-    for j in j0..=j1 {
-        let cy = origin.y + (j as f64 + 0.5) * voxel_xy;
-        // Any voxel center farther than `radius` from the segment's y-range
-        // is farther than `radius` from every segment point: skip the row.
-        if cy < seg_lo_y - radius || cy > seg_hi_y + radius {
-            continue;
-        }
-        // Clip the segment to the row's reachable y-slab [cy−r, cy+r]; the
-        // nearest segment point to any voxel this row stamps has its y in
-        // the slab, hence its x in the clipped span. Scan only that span
-        // (± radius), widened a voxel each side for rounding headroom.
-        // Worth it only for diagonal segments: a vertical road's clipped
-        // span is its (already minimal) x-AABB — the ±half-voxel widening
-        // makes the clip a provable no-op there, so skip its two
-        // divisions per row.
-        let (mut ri0, mut ri1) = (i0, i1);
-        if dy != 0.0 && dx != 0.0 {
-            let t_at = |y: f64| ((y - a.y) / dy).clamp(0.0, 1.0);
-            let (t_lo, t_hi) = (t_at(cy - radius), t_at(cy + radius));
-            let (x_lo, x_hi) = {
-                let xa = a.x + t_lo * (b.x - a.x);
-                let xb = a.x + t_hi * (b.x - a.x);
-                (xa.min(xb), xa.max(xb))
-            };
-            let span_lo = ((x_lo - radius - origin.x) / voxel_xy - 0.5).floor();
-            let span_hi = ((x_hi + radius - origin.x) / voxel_xy + 0.5).ceil();
-            ri0 = ri0.max(span_lo.max(0.0) as usize);
-            ri1 = ri1.min(span_hi.max(0.0) as usize);
-        }
-        let row = &mut layer_mat[j * nx..(j + 1) * nx];
-        let body_row = &mut layer_body[j * nx..(j + 1) * nx];
-
-        if horizontal {
-            // Along a horizontal road every interior voxel (center x inside
-            // the segment's x-range) sits at squared distance (cy − a.y)²
-            // exactly: the reference computation projects it onto the
-            // segment with zero y displacement, so its x error term is far
-            // below the proof margin.
-            let wy = cy - a.y;
-            let wy2 = wy * wy;
-            if wy2 > radius_sq + STAMP_PROOF_MARGIN {
-                // Every voxel in the row is provably outside.
-                continue;
-            }
-            if wy2 <= radius_sq - STAMP_PROOF_MARGIN {
-                // Interior span: provably inside, stamp without testing.
-                // Exact center-in-span bounds — no linear margin: a center
-                // at exactly x_min projects at t = 0 with squared distance
-                // exactly wy², and a bound-computation rounding error can
-                // push a selected center at most a few ulps outside the
-                // span, adding a squared x-term ≲ 1e-25 mm² — absorbed by
-                // the ≥ STAMP_PROOF_MARGIN headroom wy² already clears.
-                let x_min = a.x.min(b.x);
-                let x_max = a.x.max(b.x);
-                let fl = ((x_min - origin.x) / voxel_xy - 0.5)
-                    .ceil()
-                    .max(ri0 as f64) as usize;
-                let fh = ((x_max - origin.x) / voxel_xy - 0.5)
-                    .floor()
-                    .min(ri1 as f64);
-                if fh >= fl as f64 {
-                    let fh = fh as usize;
-                    for i in ri0..fl {
-                        let c = am_geom::Point2::new(origin.x + (i as f64 + 0.5) * voxel_xy, cy);
-                        if seg.distance_squared_to_point(c) <= radius_sq {
-                            write_voxel(row, body_row, i, material, road.body);
-                        }
-                    }
-                    for i in fl..=fh {
-                        write_voxel(row, body_row, i, material, road.body);
-                    }
-                    for i in (fh + 1)..=ri1 {
-                        let c = am_geom::Point2::new(origin.x + (i as f64 + 0.5) * voxel_xy, cy);
-                        if seg.distance_squared_to_point(c) <= radius_sq {
-                            write_voxel(row, body_row, i, material, road.body);
-                        }
-                    }
-                    continue;
-                }
-            }
-            // Margin-borderline row (or no interior span): exact test below.
-        } else if vertical && cy >= seg_lo_y && cy <= seg_hi_y {
-            // Interior row of a vertical road (exact y-range test — at the
-            // endpoints the projection clamps and the nearest y equals cy
-            // exactly): the squared distance is (cx − a.x)² up to a
-            // sub-margin projection residual, so a single comparison
-            // replaces the reference computation except inside the margin
-            // band.
-            for i in ri0..=ri1 {
-                let cx = origin.x + (i as f64 + 0.5) * voxel_xy;
-                let wx = cx - a.x;
-                let wx2 = wx * wx;
-                let inside = if wx2 <= radius_sq - STAMP_PROOF_MARGIN {
-                    true
-                } else if wx2 >= radius_sq + STAMP_PROOF_MARGIN {
-                    false
-                } else {
-                    seg.distance_squared_to_point(am_geom::Point2::new(cx, cy)) <= radius_sq
-                };
-                if inside {
-                    write_voxel(row, body_row, i, material, road.body);
-                }
-            }
-            continue;
-        }
-
-        for i in ri0..=ri1 {
-            let c = am_geom::Point2::new(origin.x + (i as f64 + 0.5) * voxel_xy, cy);
-            if seg.distance_squared_to_point(c) <= radius_sq {
-                write_voxel(row, body_row, i, material, road.body);
-            }
-        }
-    }
-}
-
 static SPANS_PLANNED: AtomicU64 = AtomicU64::new(0);
 static SPAN_FILL_VOXELS: AtomicU64 = AtomicU64::new(0);
 /// Cumulative process-global counters of the span-plan deposition kernel
@@ -1037,7 +793,7 @@ pub struct StampCounters {
 }
 
 /// Reads the cumulative [`StampCounters`]. Monotone within a process; the
-/// other deposition kernels never touch them.
+/// reference kernel never touches them.
 pub fn stamp_counters() -> StampCounters {
     StampCounters {
         spans_planned: SPANS_PLANNED.load(Ordering::Relaxed),
@@ -1275,14 +1031,15 @@ fn flush_vrun(rows: &mut [Vec<PlannedSpan>], run: &mut VertRun) {
     }
 }
 
-/// Plan phase for one road: mirrors [`stamp_road_layer`]'s row iteration
-/// and case analysis exactly, but instead of writing voxels it appends
-/// [`PlannedSpan`]s to the layer's row buckets. The per-cell (vertical
+/// Plan phase for one road: visits the rows the road can reach and,
+/// instead of writing voxels, appends [`PlannedSpan`]s to the layer's row
+/// buckets — cells provably inside the road (by [`STAMP_PROOF_MARGIN`])
+/// as fills, margin-band cells as exact-test caps. The per-cell (vertical
 /// roads) and per-row (horizontal roads) classifications are
 /// row-independent — `(cx − a.x)²` does not involve the row, and the
 /// horizontal fill bounds never see a diagonal clip — so both are
-/// resolved once per road and replayed for every interior row; the
-/// O(rows × cells) comparison loop the stamper pays collapses to
+/// resolved once per road and replayed for every interior row; an
+/// O(rows × cells) per-voxel comparison loop collapses to
 /// O(rows + cells).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
@@ -1770,9 +1527,9 @@ fn execute_layer(
     filled
 }
 
-/// Cap-cell resolution: the reference squared-distance test against the
-/// road's segment, with the reference overwrite rules — exactly what the
-/// stamper oracle computes for these cells.
+/// Cap-cell resolution: the exact squared-distance test against the
+/// road's segment, with the reference overwrite rules (model is never
+/// overwritten by support; the last model road sets the body).
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn stamp_exact(
@@ -1880,40 +1637,6 @@ mod tests {
         let a = print_part(&part, Orientation::Xy);
         let b = print_part(&part, Orientation::Xy);
         assert_eq!(a.voxel_count(Material::Model), b.voxel_count(Material::Model));
-    }
-
-    #[test]
-    fn parallel_stamp_is_bit_identical_to_serial() {
-        let part = prism_with_sphere(&PrismDims::default(), BodyKind::Solid, MaterialRemoval::With)
-            .unwrap()
-            .resolve()
-            .unwrap();
-        let shells = tessellate_shells(&part, &Resolution::Coarse.params());
-        let oriented = orient_shells(&shells, Orientation::Xy);
-        let to_build = build_transform(&shells, Orientation::Xy);
-        let sliced = slice_shells(&oriented, 0.1778);
-        let toolpath = generate_toolpath(&sliced, &SlicerConfig::default());
-        let profile = PrinterProfile::dimension_elite();
-        let serial = PrintedPart::try_from_toolpath_with(
-            &toolpath,
-            &profile,
-            to_build,
-            42,
-            am_par::Parallelism::serial(),
-        )
-        .unwrap();
-        for threads in [2, 8] {
-            let par = PrintedPart::try_from_toolpath_with(
-                &toolpath,
-                &profile,
-                to_build,
-                42,
-                am_par::Parallelism::threads(threads),
-            )
-            .unwrap();
-            assert_eq!(serial.material, par.material, "threads = {threads}");
-            assert_eq!(serial.body, par.body, "threads = {threads}");
-        }
     }
 
     #[test]

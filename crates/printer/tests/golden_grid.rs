@@ -1,12 +1,13 @@
 //! Golden-fixture pins for the deposition kernels (ISSUE 7).
 //!
-//! Two reference toolpaths, both kernels, threads {1, 4}: every
-//! combination must reproduce the pinned 128-bit grid digest exactly.
-//! This is the cheap tripwire in front of the bit-identity proptest —
-//! any stamper drift (a reordered RNG draw, a changed margin, a span
-//! boundary off by one voxel) fails this in milliseconds without
-//! rerunning the property suite. If a change is *supposed* to alter
-//! deposition output, re-pin the digests in the same commit and say why.
+//! Two reference toolpaths, the reference kernel and the span-plan kernel
+//! at threads {1, 4}: every combination must reproduce the pinned 128-bit
+//! grid digest exactly. This is the cheap tripwire in front of the
+//! bit-identity proptest — any deposition drift (a reordered RNG draw, a
+//! changed margin, a span boundary off by one voxel) fails this in
+//! milliseconds without rerunning the property suite. If a change is
+//! *supposed* to alter deposition output, re-pin the digests in the same
+//! commit and say why.
 
 use am_cad::parts::{intact_prism, prism_with_sphere, PrismDims};
 use am_cad::{BodyKind, MaterialRemoval};
@@ -66,36 +67,19 @@ fn golden_grid_digests_are_stable() {
             reference.grid_digest()
         );
         for threads in [1, 4] {
-            for (kernel, printed) in [
-                (
-                    "optimized",
-                    PrintedPart::try_from_toolpath_with(
-                        &toolpath,
-                        &profile,
-                        to_build,
-                        42,
-                        Parallelism::threads(threads),
-                    )
-                    .expect("optimized print"),
-                ),
-                (
-                    "span-plan",
-                    PrintedPart::try_from_toolpath_planned(
-                        &toolpath,
-                        &profile,
-                        to_build,
-                        42,
-                        Parallelism::threads(threads),
-                    )
-                    .expect("planned print"),
-                ),
-            ] {
-                assert_eq!(
-                    printed.grid_digest(),
-                    expected,
-                    "{name}: {kernel} kernel at {threads} thread(s) drifted from pin"
-                );
-            }
+            let planned = PrintedPart::try_from_toolpath_planned(
+                &toolpath,
+                &profile,
+                to_build,
+                42,
+                Parallelism::threads(threads),
+            )
+            .expect("planned print");
+            assert_eq!(
+                planned.grid_digest(),
+                expected,
+                "{name}: span-plan kernel at {threads} thread(s) drifted from pin"
+            );
         }
     }
 }

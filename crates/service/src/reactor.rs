@@ -4,7 +4,7 @@
 //! Where the thread backend spends two OS threads per connection (a
 //! reader and a writer), the reactor runs per-connection **state
 //! machines**: each
-//! [`Conn`] owns a read buffer that reassembles partial frames, a write
+//! `Conn` owns a read buffer that reassembles partial frames, a write
 //! buffer with an explicit send offset, and a pending-job count. All
 //! protocol logic is shared with the thread backend through
 //! [`process_frame`](crate::server), so the two backends serve
@@ -19,7 +19,7 @@
 //!   tail, bumps the `backpressure_stalls` counter and switches the
 //!   interest to `ReadWrite`; the next writable edge resumes, and a
 //!   fully drained buffer switches back to `Read`.
-//! * **Worker hand-off**: queued jobs reply through the [`Hub`] — a
+//! * **Worker hand-off**: queued jobs reply through the `Hub` — a
 //!   mutex-guarded completion list plus a socketpair waker, so a worker
 //!   finishing mid-`epoll_wait` wakes the reactor without blocking
 //!   itself. Shutdown drains inside the reactor thread; worker replies

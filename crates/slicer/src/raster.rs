@@ -321,7 +321,7 @@ pub(crate) fn layer_runs(layer: &Layer, bounds: Aabb2, cell: f64, support: bool)
 }
 
 /// Rasterizes one layer over `bounds` with the given cell size: the
-/// span-plan runs of [`layer_runs`], each filled whole into the cell grid,
+/// span-plan runs of `layer_runs`, each filled whole into the cell grid,
 /// plus body attribution. [`rasterize_layer_scan`] is the retained
 /// oracle; the two are bit-identical.
 ///

@@ -167,7 +167,7 @@ impl std::error::Error for SliceError {}
 ///
 /// [`SliceError::BadLayerHeight`] for a non-positive or non-finite layer
 /// height; [`SliceError::TooManyLayers`] when the height is so small the
-/// layer stack would exceed [`MAX_LAYERS`].
+/// layer stack would exceed the `MAX_LAYERS` cap.
 pub fn try_slice_shells(shells: &[TriMesh], layer_height: f64) -> Result<SlicedModel, SliceError> {
     try_slice_shells_with(shells, layer_height, Parallelism::serial())
 }

@@ -201,7 +201,7 @@ impl From<crate::ConfigError> for ToolpathError {
 ///
 /// [`ToolpathError::Config`] when [`SlicerConfig::validate`] rejects the
 /// configuration; [`ToolpathError::RasterTooLarge`] when the layer extents
-/// divided by the road width would exceed [`MAX_RASTER_CELLS`] raster cells.
+/// divided by the road width would exceed `MAX_RASTER_CELLS` raster cells.
 pub fn try_generate_toolpath(
     sliced: &SlicedModel,
     config: &SlicerConfig,
