@@ -9,24 +9,18 @@
 #    tests (span store, seeded schedules, stage-replay identity, output
 #    checker; no daemons), which also compile `benchmark/` against the
 #    current library APIs
-# 3. bench smoke: tiny-workload run of the benchmark harness; the CLI
-#    re-parses the emitted JSON and validates the schema, so this also
-#    gates the report format
-# 4. service smoke: boot the obfuscation daemon on an ephemeral loopback
+# 3. service smoke: boot the obfuscation daemon on an ephemeral loopback
 #    port, round-trip a protect-and-print job, an authenticate verdict,
 #    the metrics snapshot, and a small byte-verified load run through
 #    `submit --port-file` (which polls for the daemon's address itself —
-#    the boot race the old external wait loop papered over), then a
-#    smoke `bench --serve` against its own daemon, then drain the first
-#    daemon with a `shutdown` request and wait for it.
+#    the boot race the old external wait loop papered over), then drain
+#    the daemon with a `shutdown` request and wait for it.
 #    The detect stage (PR 10) rides the same daemon: batch side-channel
 #    detection jobs (clean, faulted, and jammed captures) and a
 #    stego-sanitization job are served on BOTH wire codecs with
 #    `--verify`, which byte-compares every served report against an
-#    in-process `am-detect` run of the same spec — plus the smoke
-#    detection ROC bench (`bench --only detect`), schema-validated on
-#    write like every other report
-# 5. chaos stage (PR 6, hardened under the epoll reactor in PR 8): a
+#    in-process `am-detect` run of the same spec
+# 4. chaos stage (hardened under the epoll reactor): a
 #    daemon on a Unix socket — explicitly `--backend reactor` — with
 #    deterministic fault injection (`--chaos-seed`), a 1 MiB cache to
 #    force constant eviction, and a persistent spill tier. A
@@ -37,42 +31,18 @@
 #    byte-identical. The restarted daemon must show warm-start spill
 #    hits (rehydrated from segment files written before the kill) and
 #    zero corrupt entries served.
-# 6. fleet stage (PR 9): three daemons on Unix sockets behind an
+# 5. fleet stage: three daemons on Unix sockets behind an
 #    `obfuscade route` rendezvous router. A byte-verified shared-prefix
 #    load plus a seed sweep all home on ONE backend (rendezvous hashing
 #    keys on the job's stage-key prefix); the router's stats snapshot
 #    names that winner, which is then KILLED (-9). A second byte-verified
 #    load (binary codec) must ride the failover — identical bytes from
 #    whichever surviving node the jobs re-home on — and the router must
-#    record >= 1 failover. Also runs the smoke routed-fleet bench
-#    (`bench --only fleet`), which grids nodes × {affinity, round-robin}
-#    and validates the v8 schema on write.
-# 7. bench regression gate: the committed BENCH_PR10.json must parse
-#    against the obfuscade-bench/v9 schema — which adds the detection
-#    sweep (mandatory `detect` section: a ROC table covering the
-#    complete 15-entry fault catalog, the fused detector never below
-#    either single channel per capture setup, full-mode reports sweeping
-#    the jamming axis and >= 2 qualities, and headline worst-case fields
-#    restating the table) on top of the v8 routed-fleet grid (nodes ×
-#    {affinity, round-robin} points with per-node cache-hit accounting,
-#    affinity strictly above round-robin at every N >= 2, and full-mode
-#    affinity within 5 points of single-node at the top node count) and
-#    the v7 serve sweep — with every kernel speedup >= 1.0x, the fea
-#    row's optimized wall clock within half of PR 3's committed
-#    1157.7 ms, per-kernel speedup floors (printing >= 3.5x,
-#    slicing >= 5.7x — see DESIGN.md §13), a clean daemon load in the
-#    mandatory `serve` section, absolute serve floors (headline
-#    p99 <= 150 ms, throughput >= 4000 req/s), absolute fleet floors on
-#    the affinity headline at the top node count (warm hit rate + routed
-#    throughput; see DESIGN.md §15), AND absolute detection floors on
-#    the ROC headline (worst-setup fused catch rate and FPR; see
-#    DESIGN.md §16). Smoke reports are schema-validated on write but not
-#    speedup- or latency-gated — tiny workloads are too noisy to
-#    threshold.
-# 8. clippy as an error wall, with `clippy::unwrap_used` additionally
+#    record >= 1 failover.
+# 6. clippy as an error wall, with `clippy::unwrap_used` additionally
 #    enabled for library and binary code (test code may unwrap freely —
 #    a failing assertion *is* its error report)
-# 9. rustdoc as an error wall: broken or private intra-doc links in any
+# 7. rustdoc as an error wall: broken or private intra-doc links in any
 #    library's public docs fail the build (`--lib` because the `obfuscade`
 #    binary and the `obfuscade` library would otherwise collide on the
 #    doc output file name)
@@ -81,7 +51,6 @@ set -eu
 cargo build --release --workspace
 cargo test --workspace -q
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path benchmark/Cargo.toml
-./target/release/obfuscade bench --smoke --threads 2 --out target/bench_smoke.json
 
 rm -f target/serve.addr
 ./target/release/obfuscade serve --addr 127.0.0.1:0 --workers 2 \
@@ -96,8 +65,6 @@ SERVE_PID=$!
 # identical result bytes.
 ./target/release/obfuscade submit --port-file target/serve.addr --load 24 --concurrency 4 \
     --codec binary
-./target/release/obfuscade bench --smoke --serve --only serve --threads 2 \
-    --out target/bench_serve_smoke.json
 
 # --- detect stage ------------------------------------------------------
 # Side-channel detection and stego sanitization through the live daemon,
@@ -114,10 +81,6 @@ SERVE_PID=$!
 ./target/release/obfuscade submit --port-file target/serve.addr --kind sanitize \
     --codec binary --verify >/dev/null
 echo "ci: detect stage clean (served reports byte-identical on both codecs)"
-# The smoke detection ROC bench: full 15-fault catalog, one capture
-# setup, schema-validated on write.
-./target/release/obfuscade bench --smoke --only detect --threads 2 \
-    --out target/bench_detect_smoke.json
 
 ./target/release/obfuscade submit --port-file target/serve.addr --kind shutdown
 wait "$SERVE_PID"
@@ -247,11 +210,6 @@ FAILOVERS=$(printf '%s' "$FLEET_STATS" | sed -n 's/.*"failovers":\([0-9]*\).*/\1
     || { echo "ci: router recorded no failover after losing a backend (got '$FAILOVERS')" >&2; exit 1; }
 echo "ci: fleet stage clean (winner $WINNER killed, $FAILOVERS failovers, bytes identical)"
 
-# The routed-fleet bench (smoke grid): nodes × {affinity, round-robin},
-# schema-validated on write like every other report.
-./target/release/obfuscade bench --smoke --serve --only fleet --threads 2 \
-    --out target/bench_fleet_smoke.json
-
 ./target/release/obfuscade submit --port-file target/fleet.addr --kind shutdown
 wait "$ROUTE_PID"
 for S in "$FLEET_B1" "$FLEET_B2" "$FLEET_B3"; do
@@ -262,10 +220,6 @@ wait "$B1_PID" 2>/dev/null || true
 wait "$B2_PID" 2>/dev/null || true
 wait "$B3_PID" 2>/dev/null || true
 
-./target/release/obfuscade bench --check BENCH_PR10.json --fea-budget-ms 578.9 --require-serve \
-    --min-speedup printing=3.5,slicing=5.7 --serve-p99-ms 150 --serve-min-rps 4000 \
-    --fleet-min-hit-rate 80 --fleet-min-rps 250 \
-    --detect-min-catch 0.9 --detect-max-fpr 0.4
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy --workspace --lib --bins -- -D warnings -W clippy::unwrap_used
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline

@@ -524,9 +524,9 @@ pub fn sidechannel_recon() -> String {
 /// The defender's view of the side channel: audio-signature, power-
 /// envelope, and fused detectors against every Table 1 attack, across
 /// capture qualities and with the NoiseEmitter countermeasure on and
-/// off. Rendered from the same [`am_detect::run_roc_sweep`] table the
-/// v9 bench report commits, so `report detect` and `BENCH_PR10.json`
-/// can never disagree about the rates.
+/// off. Rendered from the same [`am_detect::run_roc_sweep`] table that
+/// `obfuscade detect-roc` prints under its defaults, so the two can
+/// never disagree about the rates.
 pub fn detection_roc() -> String {
     let mut out = String::from(
         "§16 attack detection — side-channel ROC sweep over the fault catalog\n\n",

@@ -125,6 +125,7 @@ COMMANDS:
                      [--queue N]                front queue capacity (default 64)
                      [--backend B]              front connection layer (reactor|threads)
                      [--json-only]              refuse binary negotiation on the front
+                     [--allow-remote-shutdown]  honor wire shutdown from non-local peers
                      [--port-file FILE]         write the bound front address to FILE
                      [--node NAME]              stats node name (default \"router\")
     submit         send one request to a running daemon and print the reply
@@ -177,55 +178,30 @@ COMMANDS:
                      [--orientation xy|xz]      (default xy)
                      [--json]                   print the full table as JSON instead
                                                 of the rendered summary
-    bench          benchmark the reference kernels against the optimized ones
-                   and write a BENCH_*.json report
-                     [--smoke]                  tiny workloads (CI smoke stage)
-                     [--threads N]              parallel-path thread budget (default: all cores)
-                     [--solver SOLVER]          tensile solver for the optimized fea row:
-                                                newton-pcg (default) | relaxation
-                     [--serve]                  also bench the daemon end to end: a
-                                                backend (reactor|threads) × codec
-                                                (json|binary) × concurrency sweep,
-                                                byte-verified, with p50/p95/p99 + rps
-                                                per point — plus the routed-fleet grid
-                                                (nodes × affinity|round-robin behind a
-                                                router, per-node cache hits + warm hit
-                                                rate per point)
-                     [--only KERNEL]            slicing|printing|fea|sweep|
-                                                serve|fleet|detect
-                     [--out FILE.json]          (default BENCH_PR10.json)
-                     [--check FILE.json]        validate an existing report instead of
-                                                benchmarking; fail on any speedup < 1.0
-                     [--fea-budget-ms MS]       with --check: also fail if the fea row's
-                                                optimized time exceeds MS milliseconds
-                     [--min-speedup LIST]       with --check: per-kernel speedup floors,
-                                                e.g. printing=3.5,slicing=5.7
-                     [--require-serve]          with --check: also fail unless the
-                                                report carries a daemon (serve) result
-                     [--serve-p99-ms MS]        with --check: fail if the headline serve
-                                                p99 exceeds MS milliseconds
-                     [--serve-min-rps R]        with --check: fail if the headline serve
-                                                throughput is below R req/s
-                     [--fleet-min-hit-rate P]   with --check: fail if the routed fleet's
-                                                headline warm hit rate is below P percent
-                     [--fleet-min-rps R]        with --check: fail if the routed fleet's
-                                                headline throughput is below R req/s
-                     [--detect-min-catch F]     with --check: fail if the ROC sweep's
-                                                worst-setup fused catch rate is below F
-                     [--detect-max-fpr F]       with --check: fail if the ROC sweep's
-                                                worst-setup fused FPR exceeds F
     help           show this text
 ";
 
 type CliResult = Result<(), String>;
 
-/// Parses `--flag value` pairs and positionals.
-fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
+/// Parses `--flag value` pairs and positionals. `known` names every flag
+/// the command reads; any other flag is an error, so a typo or a retired
+/// flag fails instead of being silently ignored.
+fn parse_flags(
+    args: &[String],
+    known: &[&str],
+) -> Result<(Vec<String>, HashMap<String, String>), String> {
     let mut positional = Vec::new();
     let mut flags = HashMap::new();
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
         if let Some(name) = arg.strip_prefix("--") {
+            if !known.contains(&name) {
+                let expected = match known {
+                    [] => "this command takes no flags".to_string(),
+                    _ => format!("expected one of --{}", known.join(", --")),
+                };
+                return Err(format!("unknown flag `--{name}` ({expected})"));
+            }
             let value = match it.peek() {
                 Some(v) if !v.starts_with("--") => it.next().cloned().unwrap_or_default(),
                 _ => String::from("true"),
@@ -235,7 +211,21 @@ fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
             positional.push(arg.clone());
         }
     }
-    (positional, flags)
+    Ok((positional, flags))
+}
+
+/// Reads `--replicates`: a whole number of at least 1. Zero replicates
+/// would report all-zero statistics, so it is rejected like an
+/// unparseable count.
+fn replicates_flag(flags: &HashMap<String, String>, default: usize) -> Result<usize, String> {
+    flags
+        .get("replicates")
+        .map(|v| match v.parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(n),
+            _ => Err(format!("bad --replicates value `{v}` (need a whole number >= 1)")),
+        })
+        .transpose()
+        .map(|n| n.unwrap_or(default))
 }
 
 fn resolution_flag(flags: &HashMap<String, String>) -> Result<Resolution, String> {
@@ -288,7 +278,7 @@ fn demo_part(kind: &str, intact: bool) -> Result<Part, String> {
 
 /// `obfuscade protect` — build and export a demo part.
 pub fn protect(args: &[String]) -> CliResult {
-    let (_, flags) = parse_flags(args);
+    let (_, flags) = parse_flags(args, &["part", "out", "resolution", "intact"])?;
     let out = flags.get("out").ok_or("protect requires --out FILE.stl")?;
     let resolution = resolution_flag(&flags)?;
     let intact = flags.contains_key("intact");
@@ -311,7 +301,7 @@ pub fn protect(args: &[String]) -> CliResult {
 
 /// `obfuscade inspect` — geometry review of an STL file.
 pub fn inspect(args: &[String]) -> CliResult {
-    let (positional, _) = parse_flags(args);
+    let (positional, _) = parse_flags(args, &[])?;
     let path = positional.first().ok_or("inspect requires an STL file argument")?;
     let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     let mesh = read_stl(BufReader::new(file)).map_err(|e| e.to_string())?;
@@ -335,7 +325,7 @@ pub fn inspect(args: &[String]) -> CliResult {
 
 /// `obfuscade slice` — slice an STL into G-code.
 pub fn slice(args: &[String]) -> CliResult {
-    let (positional, flags) = parse_flags(args);
+    let (positional, flags) = parse_flags(args, &["orientation", "out", "layer"])?;
     let path = positional.first().ok_or("slice requires an STL file argument")?;
     let out = flags.get("out").ok_or("slice requires --out FILE.gcode")?;
     let orientation = orientation_flag(&flags)?;
@@ -401,7 +391,7 @@ fn print_gcode(path: &str, flags: &HashMap<String, String>) -> Result<PrintedPar
 
 /// `obfuscade print` — simulate a print and report the artifact scan.
 pub fn print(args: &[String]) -> CliResult {
-    let (positional, flags) = parse_flags(args);
+    let (positional, flags) = parse_flags(args, &["machine", "seed"])?;
     let path = positional.first().ok_or("print requires a G-code file argument")?;
     let printed = print_gcode(path, &flags)?;
     let scan = am_printer::scan(&printed);
@@ -423,7 +413,7 @@ pub fn print(args: &[String]) -> CliResult {
 /// real inspection lab does, since legitimate geometry (through-holes,
 /// lattices) also scans as internal structure.
 pub fn authenticate(args: &[String]) -> CliResult {
-    let (positional, flags) = parse_flags(args);
+    let (positional, flags) = parse_flags(args, &["reference", "machine", "seed"])?;
     let path = positional.first().ok_or("authenticate requires a G-code file argument")?;
     let printed = print_gcode(path, &flags)?;
     let scan = am_printer::scan(&printed);
@@ -450,7 +440,7 @@ pub fn authenticate(args: &[String]) -> CliResult {
 
 /// `obfuscade preview` — ASCII rendering of one sliced layer.
 pub fn preview(args: &[String]) -> CliResult {
-    let (positional, flags) = parse_flags(args);
+    let (positional, flags) = parse_flags(args, &["orientation", "layer-index", "layer"])?;
     let path = positional.first().ok_or("preview requires an STL file argument")?;
     let orientation = orientation_flag(&flags)?;
     let layer_height: f64 = flags
@@ -499,7 +489,8 @@ pub fn preview(args: &[String]) -> CliResult {
 /// degraded-but-completed run prints its stage outcomes and diagnostics,
 /// an aborted run reports the typed error and the stage that raised it.
 pub fn faults(args: &[String]) -> CliResult {
-    let (positional, flags) = parse_flags(args);
+    let (positional, flags) =
+        parse_flags(args, &["list", "part", "resolution", "orientation", "seed"])?;
     if flags.contains_key("list") {
         println!("{:<20} PLAN", "NAME");
         for (name, plan) in FaultPlan::catalog() {
@@ -555,7 +546,8 @@ pub fn faults(args: &[String]) -> CliResult {
 }
 
 /// `obfuscade audit` — the paper's Table 1 / Fig. 2.
-pub fn audit(_args: &[String]) -> CliResult {
+pub fn audit(args: &[String]) -> CliResult {
+    parse_flags(args, &[])?;
     print!("{}", obfuscade::risk::render_risk_table());
     println!();
     for a in obfuscade::risk::attack_taxonomy() {
@@ -567,18 +559,9 @@ pub fn audit(_args: &[String]) -> CliResult {
 /// `obfuscade report` — regenerate paper artifacts.
 pub fn report(args: &[String]) -> CliResult {
     use obfuscade_bench::experiments as e;
-    let (positional, flags) = parse_flags(args);
+    let (positional, flags) = parse_flags(args, &["replicates"])?;
     let which = positional.first().map(String::as_str).unwrap_or("all");
-    // Zero replicates would print Table 2 as all-zero statistics, so it is
-    // rejected like an unparseable count.
-    let replicates: usize = flags
-        .get("replicates")
-        .map(|v| match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!("bad --replicates value `{v}` (need a whole number >= 1)")),
-        })
-        .transpose()?
-        .unwrap_or(3);
+    let replicates = replicates_flag(&flags, 3)?;
     let sections: Vec<String> = match which {
         "table1" => vec![e::table1_risks()],
         "fig3" => vec![e::fig3_stages()],
@@ -639,7 +622,8 @@ pub fn report(args: &[String]) -> CliResult {
 /// prefix sharing and state reuse are observable.
 pub fn sweep(args: &[String]) -> CliResult {
     use obfuscade::{sweep_key_space, EmbeddedSphereScheme, ProcessKey, StageCache};
-    let (positional, flags) = parse_flags(args);
+    let (positional, flags) =
+        parse_flags(args, &["threads", "seed", "tensile", "solver", "cache-stats"])?;
     if let Some(extra) = positional.first() {
         return Err(format!("unexpected argument `{extra}`"));
     }
@@ -647,7 +631,9 @@ pub fn sweep(args: &[String]) -> CliResult {
         .get("threads")
         .map(|v| v.parse().map_err(|_| format!("bad --threads value `{v}`")))
         .transpose()?
-        .unwrap_or_else(|| obfuscade_bench::perf::BenchConfig::default().threads)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        })
         .max(1);
     let seed: u64 = flags
         .get("seed")
@@ -708,228 +694,6 @@ pub fn sweep(args: &[String]) -> CliResult {
         // the daemon's `stats` request serializes.
         print!("{}", obfuscade::metrics::MetricsSnapshot::gather(&cache).render());
     }
-    Ok(())
-}
-
-/// `obfuscade bench` — time the reference kernels against the optimized
-/// kernels and emit a validated JSON report.
-pub fn bench(args: &[String]) -> CliResult {
-    use obfuscade_bench::perf::{run_selected_benchmarks, validate_report_json, BenchConfig};
-    let (positional, flags) = parse_flags(args);
-    if let Some(extra) = positional.first() {
-        return Err(format!("unexpected argument `{extra}`"));
-    }
-    // `--check FILE` is the CI regression gate: validate an existing report
-    // against the schema and fail if any kernel regressed below 1.0× — or,
-    // with `--fea-budget-ms`, if the fea row's optimized wall clock blew
-    // its budget (the PR 4 gate: ≤ half of PR 3's committed 1157.7 ms).
-    if let Some(path) = flags.get("check") {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let speedups = validate_report_json(&text).map_err(|e| format!("{path}: {e}"))?;
-        let mut regressions = Vec::new();
-        for (name, speedup) in &speedups {
-            let ok = *speedup >= 1.0;
-            println!("  {name:<16} {speedup:>6.2}x  {}", if ok { "ok" } else { "REGRESSION" });
-            if !ok {
-                regressions.push(name.clone());
-            }
-        }
-        if !regressions.is_empty() {
-            return Err(format!(
-                "{path}: kernel speedup below 1.0x: {}",
-                regressions.join(", ")
-            ));
-        }
-        // PR 7: `--min-speedup printing=3.5,slicing=5.7` raises the floor
-        // above the blanket 1.0× for named kernels, so a kernel that a PR
-        // specifically optimized cannot silently decay back toward parity.
-        if let Some(list) = flags.get("min-speedup") {
-            for entry in list.split(',').filter(|e| !e.is_empty()) {
-                let (name, min) = entry
-                    .split_once('=')
-                    .ok_or_else(|| format!("bad --min-speedup entry `{entry}` (want name=X)"))?;
-                let min: f64 = min
-                    .parse()
-                    .map_err(|_| format!("bad --min-speedup floor in `{entry}`"))?;
-                let speedup = speedups
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map(|&(_, s)| s)
-                    .ok_or_else(|| format!("{path}: no '{name}' kernel row for --min-speedup"))?;
-                if speedup < min {
-                    return Err(format!(
-                        "{path}: {name} speedup {speedup:.2}x below the {min:.2}x floor"
-                    ));
-                }
-                println!("  {name:<16} {speedup:>6.2}x  >= {min:.2}x floor");
-            }
-        }
-        if let Some(budget) = flags.get("fea-budget-ms") {
-            let budget: f64 =
-                budget.parse().map_err(|_| format!("bad --fea-budget-ms value `{budget}`"))?;
-            let fea_ms = obfuscade_bench::perf::report_kernel_optimized_ms(&text, "fea")
-                .map_err(|e| format!("{path}: {e}"))?;
-            if fea_ms > budget {
-                return Err(format!(
-                    "{path}: fea optimized time {fea_ms:.1} ms exceeds the {budget:.1} ms budget"
-                ));
-            }
-            println!("  fea optimized    {fea_ms:>6.1} ms  within the {budget:.1} ms budget");
-        }
-        // PR 5: `--require-serve` additionally insists the report carries
-        // a daemon load-test result (its cleanliness was already enforced
-        // by the schema validation above).
-        if flags.contains_key("require-serve") {
-            let served = obfuscade_bench::perf::report_has_serve(&text)
-                .map_err(|e| format!("{path}: {e}"))?;
-            if !served {
-                return Err(format!("{path}: no serve section (daemon bench did not run)"));
-            }
-            println!("  serve            present  clean daemon load run");
-        }
-        // PR 8: absolute floors on the committed headline serve numbers
-        // (the reactor-backend binary-codec point at top concurrency), so
-        // a daemon-latency regression cannot hide behind the relative
-        // kernel speedups.
-        if let Some(ceiling) = flags.get("serve-p99-ms") {
-            let ceiling: f64 = ceiling
-                .parse()
-                .map_err(|_| format!("bad --serve-p99-ms value `{ceiling}`"))?;
-            let p99 = obfuscade_bench::perf::report_serve_number(&text, "p99_ms")
-                .map_err(|e| format!("{path}: {e}"))?;
-            if p99 > ceiling {
-                return Err(format!(
-                    "{path}: serve p99 {p99:.2} ms exceeds the {ceiling:.2} ms ceiling"
-                ));
-            }
-            println!("  serve p99        {p99:>6.2} ms  within the {ceiling:.2} ms ceiling");
-        }
-        if let Some(floor) = flags.get("serve-min-rps") {
-            let floor: f64 =
-                floor.parse().map_err(|_| format!("bad --serve-min-rps value `{floor}`"))?;
-            let rps = obfuscade_bench::perf::report_serve_number(&text, "throughput_rps")
-                .map_err(|e| format!("{path}: {e}"))?;
-            if rps < floor {
-                return Err(format!(
-                    "{path}: serve throughput {rps:.1} req/s below the {floor:.1} req/s floor"
-                ));
-            }
-            println!("  serve rps        {rps:>6.1}     >= {floor:.1} req/s floor");
-        }
-        // PR 9: absolute floors on the committed routed-fleet headline
-        // (the affinity point at the grid's largest node count). The
-        // affinity-beats-round-robin ordering was already enforced by the
-        // schema validation; these pin the absolute numbers so the warm
-        // hit rate cannot erode inside the relative ordering.
-        if let Some(floor) = flags.get("fleet-min-hit-rate") {
-            let floor: f64 = floor
-                .parse()
-                .map_err(|_| format!("bad --fleet-min-hit-rate value `{floor}`"))?;
-            let rate = obfuscade_bench::perf::report_fleet_number(&text, "hit_rate")
-                .map_err(|e| format!("{path}: {e}"))?;
-            if rate < floor {
-                return Err(format!(
-                    "{path}: fleet warm hit rate {rate:.1}% below the {floor:.1}% floor"
-                ));
-            }
-            println!("  fleet hit rate   {rate:>6.1}%    >= {floor:.1}% floor");
-        }
-        if let Some(floor) = flags.get("fleet-min-rps") {
-            let floor: f64 =
-                floor.parse().map_err(|_| format!("bad --fleet-min-rps value `{floor}`"))?;
-            let rps = obfuscade_bench::perf::report_fleet_number(&text, "throughput_rps")
-                .map_err(|e| format!("{path}: {e}"))?;
-            if rps < floor {
-                return Err(format!(
-                    "{path}: routed throughput {rps:.1} req/s below the {floor:.1} req/s floor"
-                ));
-            }
-            println!("  fleet rps        {rps:>6.1}     >= {floor:.1} req/s floor");
-        }
-        // PR 10: absolute gates on the committed detection-sweep headline
-        // (worst setup across the ROC grid). The fused-beats-each-channel
-        // ordering and full fault-catalog coverage were already enforced
-        // by the schema validation; these pin the absolute rates.
-        if let Some(floor) = flags.get("detect-min-catch") {
-            let floor: f64 = floor
-                .parse()
-                .map_err(|_| format!("bad --detect-min-catch value `{floor}`"))?;
-            let catch = obfuscade_bench::perf::report_detect_number(&text, "min_fused_catch")
-                .map_err(|e| format!("{path}: {e}"))?;
-            if catch < floor {
-                return Err(format!(
-                    "{path}: worst-setup fused catch rate {catch:.3} below the {floor:.3} floor"
-                ));
-            }
-            println!("  detect catch     {catch:>6.3}    >= {floor:.3} floor");
-        }
-        if let Some(ceiling) = flags.get("detect-max-fpr") {
-            let ceiling: f64 = ceiling
-                .parse()
-                .map_err(|_| format!("bad --detect-max-fpr value `{ceiling}`"))?;
-            let fpr = obfuscade_bench::perf::report_detect_number(&text, "max_fused_fpr")
-                .map_err(|e| format!("{path}: {e}"))?;
-            if fpr > ceiling {
-                return Err(format!(
-                    "{path}: worst-setup fused false-positive rate {fpr:.3} exceeds the \
-                     {ceiling:.3} ceiling"
-                ));
-            }
-            println!("  detect fpr       {fpr:>6.3}    <= {ceiling:.3} ceiling");
-        }
-        println!("{path}: schema valid, {} kernels, all speedups >= 1.0x", speedups.len());
-        return Ok(());
-    }
-    let parse_usize = |name: &str, default: usize| -> Result<usize, String> {
-        flags
-            .get(name)
-            .map(|v| v.parse().map_err(|_| format!("bad --{name} value `{v}`")))
-            .transpose()
-            .map(|v| v.unwrap_or(default))
-    };
-    let defaults = BenchConfig::default();
-    let config = BenchConfig {
-        smoke: flags.contains_key("smoke"),
-        threads: parse_usize("threads", defaults.threads)?.max(1),
-        solver: solver_flag(&flags)?,
-        serve: flags.contains_key("serve"),
-    };
-    let out_path = flags.get("out").map(String::as_str).unwrap_or("BENCH_PR10.json");
-    let only = flags.get("only").map(String::as_str);
-    if let Some(name) = only {
-        if !["slicing", "printing", "fea", "sweep", "serve", "fleet", "detect"].contains(&name) {
-            return Err(format!("unknown kernel `{name}` for --only"));
-        }
-        if (name == "serve" || name == "fleet") && !config.serve {
-            return Err(format!("--only {name} requires --serve"));
-        }
-    }
-
-    eprintln!(
-        "benchmarking {} (threads={}, solver={})…",
-        if config.smoke { "smoke workloads" } else { "full workloads" },
-        config.threads,
-        config.solver
-    );
-    let report = run_selected_benchmarks(&config, only);
-    print!("{}", report.render());
-
-    let json = report.to_json();
-    std::fs::write(out_path, &json).map_err(|e| format!("writing {out_path}: {e}"))?;
-    // Parse the file we just wrote back in, so a malformed report fails
-    // loudly here (and in the CI smoke stage) rather than downstream.
-    let written = std::fs::read_to_string(out_path).map_err(|e| format!("reading back: {e}"))?;
-    let speedups = validate_report_json(&written)?;
-    println!(
-        "\nwrote {out_path} ({} kernels, schema validated): {}",
-        speedups.len(),
-        speedups
-            .iter()
-            .map(|(name, s)| format!("{name} {s:.2}x"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
     Ok(())
 }
 
@@ -1021,7 +785,13 @@ fn f64_flag(
 /// `shutdown` (which drains the queue and in-flight jobs first).
 pub fn serve(args: &[String]) -> CliResult {
     use am_service::{Server, ServerConfig};
-    let (positional, flags) = parse_flags(args);
+    let (positional, flags) = parse_flags(
+        args,
+        &[
+            "addr", "uds", "workers", "queue", "cache-mb", "allow-remote-shutdown", "port-file",
+            "spill-dir", "chaos-seed", "backend", "json-only", "idle-timeout-s", "node",
+        ],
+    )?;
     if let Some(extra) = positional.first() {
         return Err(format!("unexpected argument `{extra}`"));
     }
@@ -1098,7 +868,14 @@ fn backend_endpoint(spec: &str) -> Result<am_service::Endpoint, String> {
 pub fn route(args: &[String]) -> CliResult {
     use am_router::{RoutePolicy, Router, RouterConfig};
     use am_service::ServerConfig;
-    let (positional, flags) = parse_flags(args);
+    let (positional, flags) = parse_flags(
+        args,
+        &[
+            "to", "addr", "uds", "policy", "conns", "fail-threshold", "probe-every", "retries",
+            "workers", "queue", "allow-remote-shutdown", "backend", "json-only", "port-file",
+            "node",
+        ],
+    )?;
     if let Some(extra) = positional.first() {
         return Err(format!("unexpected argument `{extra}`"));
     }
@@ -1212,7 +989,15 @@ fn job_spec_flags(flags: &HashMap<String, String>) -> Result<am_service::JobSpec
 pub fn submit(args: &[String]) -> CliResult {
     use am_service::{expected_results_wire, run_load_with, Client, Response, RetryingClient};
     use obfuscade::json::Json;
-    let (positional, flags) = parse_flags(args);
+    let (positional, flags) = parse_flags(
+        args,
+        &[
+            "addr", "uds", "port-file", "retries", "kind", "codec", "part", "intact", "seed",
+            "resolution", "orientation", "tensile", "solver", "layer", "faults", "fault-seed",
+            "deadline-ms", "quality", "jam", "trace-seed", "payload-seed", "payload-bits",
+            "verify", "load", "concurrency",
+        ],
+    )?;
     if let Some(extra) = positional.first() {
         return Err(format!("unexpected argument `{extra}`"));
     }
@@ -1391,7 +1176,10 @@ fn verify_wire(expected: &Option<String>, served: &str, what: &str) -> Result<()
 pub fn detect_roc(args: &[String]) -> CliResult {
     use am_detect::{run_roc_sweep, RocConfig};
     use obfuscade::{Deadline, StageCache};
-    let (positional, flags) = parse_flags(args);
+    let (positional, flags) = parse_flags(
+        args,
+        &["quality", "jam", "replicates", "part", "resolution", "orientation", "json"],
+    )?;
     if let Some(extra) = positional.first() {
         return Err(format!("unexpected argument `{extra}`"));
     }
@@ -1414,15 +1202,18 @@ pub fn detect_roc(args: &[String]) -> CliResult {
             am_detect::capture_quality(q)?;
         }
     }
+    // The same bounds the wire decoders put on a detect job's
+    // `jam_amplitude`: a finite, non-negative amplitude.
     if let Some(list) = flags.get("jam") {
         config.jam_amplitudes = list
             .split(',')
-            .map(|v| v.parse().map_err(|_| format!("bad --jam amplitude `{v}`")))
+            .map(|v| match v.parse::<f64>() {
+                Ok(a) if a.is_finite() && a >= 0.0 => Ok(a),
+                _ => Err(format!("bad --jam amplitude `{v}` (need a finite number >= 0)")),
+            })
             .collect::<Result<_, String>>()?;
     }
-    if let Some(n) = u64_flag(&flags, "replicates")? {
-        config.replicates = (n as usize).max(1);
-    }
+    config.replicates = replicates_flag(&flags, config.replicates)?;
 
     let cache = StageCache::with_budget(StageCache::DEFAULT_BUDGET);
     let table = run_roc_sweep(&part, &plan, &config, &cache, Deadline::none())
@@ -1489,7 +1280,7 @@ mod tests {
     fn flag_parser_splits_positionals_and_flags() {
         let args: Vec<String> =
             ["file.stl", "--out", "x.gcode", "--intact"].iter().map(|s| s.to_string()).collect();
-        let (pos, flags) = parse_flags(&args);
+        let (pos, flags) = parse_flags(&args, &["out", "intact"]).unwrap();
         assert_eq!(pos, vec!["file.stl"]);
         assert_eq!(flags.get("out").map(String::as_str), Some("x.gcode"));
         assert_eq!(flags.get("intact").map(String::as_str), Some("true"));
@@ -1534,17 +1325,118 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    type Command = fn(&[String]) -> CliResult;
+
+    /// Runs `command` with `args` plus a trailing `--bogus` and requires
+    /// the error to name `--bogus`: every flag before it was accepted.
+    /// Each `args` also fails the command fast on its own (a missing file,
+    /// an extra positional), so a parser that ignored `--bogus` fails the
+    /// test instead of starting a daemon or a sweep.
+    fn only_bogus_rejected(command: Command, args: &[&str]) {
+        let mut args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        args.push("--bogus".into());
+        let err = command(&args).expect_err("--bogus must be rejected");
+        assert!(err.starts_with("unknown flag `--bogus`"), "{args:?}: {err}");
+    }
+
     #[test]
     fn unknown_flags_are_reported() {
         assert!(protect(&["--out".into(), "/nonexistent-dir-xyz/o.stl".into()]).is_err());
         assert!(inspect(&[]).is_err());
         assert!(slice(&[]).is_err());
+        // Every command names an unknown flag (here a typo of serve's
+        // `--cache-mb`) before doing any work. `extra` makes each command
+        // fail fast should the flag ever be ignored.
+        let commands: [(&str, Command); 14] = [
+            ("protect", protect),
+            ("inspect", inspect),
+            ("slice", slice),
+            ("print", print),
+            ("authenticate", authenticate),
+            ("preview", preview),
+            ("faults", faults),
+            ("audit", audit),
+            ("report", report),
+            ("sweep", sweep),
+            ("serve", serve),
+            ("route", route),
+            ("submit", submit),
+            ("detect-roc", detect_roc),
+        ];
+        for (name, command) in commands {
+            let err =
+                command(&["--cache-mbs".into(), "1".into(), "extra".into()]).expect_err(name);
+            assert!(err.starts_with("unknown flag `--cache-mbs`"), "{name}: {err}");
+        }
+        let err = audit(&["--json".into()]).unwrap_err();
+        assert!(err.contains("takes no flags"), "{err}");
+    }
+
+    #[test]
+    fn documented_flags_are_accepted() {
+        // The repository benchmark's daemons and router.
+        only_bogus_rejected(
+            serve,
+            &[
+                "--workers", "1", "--cache-mb", "32", "--uds", "n0.sock", "--node", "n0",
+                "--addr", "127.0.0.1:0", "--port-file", "n0.addr", "extra",
+            ],
+        );
+        only_bogus_rejected(
+            route,
+            &[
+                "--queue", "4096", "--to", "unix:n0.sock", "--addr", "127.0.0.1:0",
+                "--port-file", "router.addr", "extra",
+            ],
+        );
+        // ci.sh, the README quickstarts and the verify notes.
+        only_bogus_rejected(
+            serve,
+            &["--backend", "reactor", "--chaos-seed", "7", "--spill-dir", "spill", "extra"],
+        );
+        only_bogus_rejected(route, &["--workers", "4", "--policy", "round-robin", "extra"]);
+        only_bogus_rejected(
+            submit,
+            &[
+                "--port-file", "d.addr", "--uds", "d.sock", "--addr", "127.0.0.1:7878",
+                "--kind", "detect", "--part", "prism", "--seed", "2", "--load", "24",
+                "--concurrency", "4", "--retries", "16", "--codec", "binary", "--faults",
+                "toolpath.dup=0.5", "--quality", "lab", "--jam", "2.5", "--trace-seed", "7",
+                "--payload-seed", "7", "--payload-bits", "3", "--verify", "extra",
+            ],
+        );
+        let missing = "/nonexistent-dir-xyz/p";
+        only_bogus_rejected(protect, &["--part", "bar", "--intact", "--out", missing]);
+        only_bogus_rejected(slice, &[missing, "--orientation", "xz", "--out", "p.gcode"]);
+        only_bogus_rejected(authenticate, &[missing, "--reference", "g.gcode"]);
+        only_bogus_rejected(faults, &["stl.bogus=1", "--list", "--seed", "7"]);
+        only_bogus_rejected(sweep, &["--tensile", "--cache-stats", "extra"]);
+        only_bogus_rejected(report, &["extra", "--replicates", "5"]);
+        only_bogus_rejected(
+            detect_roc,
+            &["--quality", "smartphone", "--jam", "0", "--replicates", "1", "--json", "extra"],
+        );
     }
 
     #[test]
     fn report_rejects_replicate_counts_below_one() {
         for bad in ["0", "-1", "five"] {
             let err = report(&["table2".into(), "--replicates".into(), bad.into()])
+                .expect_err("replicate count must be rejected");
+            assert!(err.contains("--replicates"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn detect_roc_rejects_bad_jamming_and_replicate_counts() {
+        // The bounds the wire decoders put on `jam_amplitude`.
+        for bad in ["nan", "inf", "nan,inf", "-3", "0,-0.5"] {
+            let err = detect_roc(&["--jam".into(), bad.into()])
+                .expect_err("jamming amplitude must be rejected");
+            assert!(err.contains("--jam"), "{bad}: {err}");
+        }
+        for bad in ["0", "-1"] {
+            let err = detect_roc(&["--replicates".into(), bad.into()])
                 .expect_err("replicate count must be rejected");
             assert!(err.contains("--replicates"), "{bad}: {err}");
         }

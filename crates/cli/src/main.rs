@@ -17,7 +17,6 @@
 //! obfuscade submit [--addr HOST:PORT] [--kind run|authenticate|stats|ping|shutdown]
 //! obfuscade submit --load 200 --concurrency 8
 //! obfuscade detect-roc [--quality lab,smartphone,room] [--jam 0,2.5] [--replicates N]
-//! obfuscade bench [--smoke] [--serve] [--threads N] [--out FILE.json] [--check FILE.json]
 //! ```
 
 use std::process::ExitCode;
@@ -48,7 +47,6 @@ fn main() -> ExitCode {
         "route" => commands::route(rest),
         "submit" => commands::submit(rest),
         "detect-roc" => commands::detect_roc(rest),
-        "bench" => commands::bench(rest),
         "help" | "--help" | "-h" => {
             print!("{}", commands::USAGE);
             Ok(())

@@ -1,21 +1,12 @@
-//! A minimal JSON value model, parser and emitter — shared by the bench
-//! report (`obfuscade-bench/*` documents) and the service wire protocol.
+//! A minimal JSON value model, parser and emitter — the grammar of the
+//! service wire protocol (DESIGN.md §11), the metrics snapshot and the
+//! CLI's JSON output.
 //!
-//! This began life inside `crates/bench/src/perf.rs` as "just enough JSON
-//! to validate the bench schema without a dependency"; the service daemon
-//! (DESIGN.md §11) needs the same grammar on the wire, so the
-//! implementation lives here once instead of twice. It is deliberately
-//! small: no serde, no streaming, objects as ordered `(key, value)` pairs
-//! (field order is part of the bench schema's stability contract and of
-//! the wire protocol's byte-identity contract).
-//!
-//! Two number formatters coexist on purpose:
-//!
-//! * [`json_number`] — fixed 3-decimal formatting for human-diffable bench
-//!   documents (timings in milliseconds do not need more);
-//! * [`Json::render`] — Rust's shortest round-trip `f64` formatting, used
-//!   by the wire protocol, where responses must be **byte-identical** for
-//!   bit-identical inputs and therefore must not round.
+//! It is deliberately small: no serde, no streaming, objects as ordered
+//! `(key, value)` pairs (field order is part of the wire protocol's
+//! byte-identity contract). [`Json::render`] formats numbers with Rust's
+//! shortest round-trip `f64` formatting, so responses are
+//! **byte-identical** for bit-identical inputs: nothing is rounded.
 
 use std::fmt::Write as _;
 
@@ -168,13 +159,6 @@ pub fn json_string(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// Formats a number with fixed 3-decimal precision (`null` for non-finite
-/// values) — the bench documents' human-diffable form. Lossy by design;
-/// the wire protocol uses [`Json::render`] instead.
-pub fn json_number(v: f64) -> String {
-    if v.is_finite() { format!("{v:.3}") } else { "null".to_string() }
 }
 
 /// Maximum container nesting the parser accepts. The parser recurses per

@@ -9,8 +9,7 @@
 //! bench report carried three loose cache counters, and the solver-work
 //! counters were only visible inside the bench. The snapshot pins **one
 //! stable field order** for the JSON form (the service `stats` response
-//! and future tooling parse it), and one human rendering that the CLI and
-//! bench share.
+//! and future tooling parse it), and one human rendering the CLI prints.
 
 use crate::cache::{CacheStats, StageCache};
 use crate::json::Json;
@@ -49,7 +48,7 @@ pub fn quantile(sorted: &[f64], q: f64) -> f64 {
 /// A fixed-bucket request-latency histogram (geometric bucket bounds).
 ///
 /// Quantiles read from it are bucket-upper-bound estimates — good enough
-/// for a `stats` glance; the bench computes exact quantiles client-side
+/// for a `stats` glance; load runs compute exact quantiles client-side
 /// from raw samples instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LatencyHistogram {
@@ -342,8 +341,7 @@ impl MetricsSnapshot {
     }
 }
 
-/// One-line [`CacheStats`] summary, shared by the snapshot rendering and
-/// the bench report table.
+/// One-line [`CacheStats`] summary, as the snapshot rendering prints it.
 pub fn cache_line(s: &CacheStats) -> String {
     format!(
         "{} hits / {} lookups ({:.0}% hit rate), {} insertions, {} evictions",

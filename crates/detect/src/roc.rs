@@ -5,8 +5,8 @@
 //! measures, per fault-catalog entry, the catch rate of each detector
 //! over independent capture replicates — and, per setup, the *measured*
 //! false-positive rate over held-out genuine recaptures (seeds disjoint
-//! from the calibration set). This is the experiment table behind the
-//! `detect` section of the bench schema and EXPERIMENTS.md.
+//! from the calibration set). This is the experiment table behind
+//! `obfuscade detect-roc`, `obfuscade report detect` and EXPERIMENTS.md.
 
 use am_cad::Part;
 use obfuscade::json::Json;
@@ -113,7 +113,7 @@ pub struct RocTable {
 }
 
 impl RocTable {
-    /// Canonical JSON rendering for the bench report and the CLI.
+    /// Canonical JSON rendering (`obfuscade detect-roc --json`).
     pub fn to_json(&self) -> Json {
         let cell = |c: &RocCell| {
             Json::Object(vec![

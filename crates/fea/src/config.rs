@@ -14,8 +14,7 @@ use am_slicer::Orientation;
 /// fast). The original scalar kernel,
 /// [`crate::run_tensile_test_reference`], is not part of this enum: no
 /// production path runs it. It is the oracle the solver-tracking tests
-/// compare both solvers against, and the fea row's baseline in
-/// `obfuscade bench`.
+/// compare both solvers against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FeaSolver {
     /// Matrix-free Newton–PCG: outer Newton iterations over the

@@ -97,12 +97,6 @@ pub(crate) mod counters {
         FORCE_EVALS.fetch_add(n, Ordering::Relaxed);
     }
 
-    pub(crate) fn reset() {
-        for c in [&NEWTON_ITERS, &PCG_ITERS, &RELAX_ITERS, &FORCE_EVALS] {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-
     pub(crate) fn snapshot() -> SolverCounters {
         SolverCounters {
             newton_iters: NEWTON_ITERS.load(Ordering::Relaxed),
@@ -111,13 +105,6 @@ pub(crate) mod counters {
             force_evals: FORCE_EVALS.load(Ordering::Relaxed),
         }
     }
-}
-
-/// Resets the process-wide [`SolverCounters`] to zero (bench harness
-/// bracketing; tests should diff snapshots instead of resetting, since the
-/// counters are shared across threads).
-pub fn reset_solver_counters() {
-    counters::reset();
 }
 
 /// Snapshot of the process-wide optimized-solver work counters. The

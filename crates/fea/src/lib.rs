@@ -34,8 +34,8 @@ mod solve;
 
 pub use config::{FeaConfigError, FeaSolver, TensileConfig};
 pub use kernel::{
-    reset_solver_counters, run_tensile_test_with, solver_counters, try_run_tensile_test_in,
-    try_run_tensile_test_with, SolverPool, SolverPoolStats, SolverScratch,
+    run_tensile_test_with, solver_counters, try_run_tensile_test_in, try_run_tensile_test_with,
+    SolverPool, SolverPoolStats, SolverScratch,
 };
 pub use lattice::{Bond, BondState, Grip, Lattice, Node};
 pub use result::{SolverCounters, Stat, TensileResult, TensileSummary};

@@ -3,12 +3,12 @@
 use am_geom::Point2;
 
 /// Snapshot of the process-wide optimized-solver work counters (see
-/// [`crate::solver_counters`] / [`crate::reset_solver_counters`]).
+/// [`crate::solver_counters`]).
 ///
 /// Pure telemetry: the counters never feed back into the simulation, so
 /// they can be read (or ignored) without perturbing bit-identical results.
-/// The bench harness brackets timed runs with reset/snapshot to report
-/// per-kernel inner-iteration and residual-evaluation counts.
+/// Callers diff two snapshots ([`SolverCounters::since`]) to attribute
+/// work to a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolverCounters {
     /// Accepted Newton steps (outer iterations).
@@ -23,14 +23,13 @@ pub struct SolverCounters {
 }
 
 impl SolverCounters {
-    /// Inner iterations across both solver families (PCG + relaxation) —
-    /// the bench report's `inner_iters` column.
+    /// Inner iterations across both solver families (PCG + relaxation).
     pub fn inner_iters(&self) -> u64 {
         self.pcg_iters + self.relax_iters
     }
 
-    /// Counter-wise difference since an earlier snapshot (saturating, so a
-    /// concurrent reset cannot underflow).
+    /// Counter-wise difference since an earlier snapshot (saturating, so
+    /// snapshots passed in the wrong order cannot underflow).
     pub fn since(&self, earlier: &SolverCounters) -> SolverCounters {
         SolverCounters {
             newton_iters: self.newton_iters.saturating_sub(earlier.newton_iters),

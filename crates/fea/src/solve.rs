@@ -4,7 +4,7 @@
 //! to the optimized structure-of-arrays solver in [`crate::kernel`]
 //! (optionally parallel via [`crate::run_tensile_test_with`]), while
 //! [`run_tensile_test_reference`] keeps the original scalar kernel
-//! verbatim as the benchmark baseline and cross-check.
+//! verbatim as the tests' cross-check.
 
 use am_geom::{Point2, Vec2};
 
@@ -29,9 +29,9 @@ pub fn run_tensile_test(lattice: &mut Lattice, config: &TensileConfig) -> Tensil
     crate::kernel::run_tensile_test_with(lattice, config, am_par::Parallelism::serial())
 }
 
-/// The original kernel of [`run_tensile_test`], kept verbatim: the
-/// benchmark baseline, and the cross-check the optimized solvers' results
-/// are validated against.
+/// The original kernel of [`run_tensile_test`], kept verbatim as the
+/// cross-check the optimized solvers' results are validated against in
+/// tests.
 ///
 /// # Panics
 ///

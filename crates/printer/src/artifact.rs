@@ -13,8 +13,7 @@
 //!   ([`PrintedPart::try_from_toolpath_reference`]) is the original
 //!   road-at-a-time loop. It is the oracle: the golden-grid digests, the
 //!   span-plan identity property and the unit tests below compare the
-//!   span-plan kernel against it, and `obfuscade bench` times it as the
-//!   printing row's baseline.
+//!   span-plan kernel against it. Only tests call it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -242,8 +241,8 @@ impl PrintedPart {
 
     /// The original road-at-a-time deposition loop: serial, one RNG draw
     /// then one stamp per road, exact (square-root) distance tests. Kept as
-    /// the oracle the span-plan kernel is tested against and as
-    /// `obfuscade bench`'s printing baseline; no production path calls it.
+    /// the oracle the span-plan kernel is tested against; only tests call
+    /// it.
     ///
     /// # Errors
     ///
@@ -781,8 +780,8 @@ const STAMP_PROOF_MARGIN: f64 = 1e-6;
 static SPANS_PLANNED: AtomicU64 = AtomicU64::new(0);
 static SPAN_FILL_VOXELS: AtomicU64 = AtomicU64::new(0);
 /// Cumulative process-global counters of the span-plan deposition kernel
-/// ([`PrintedPart::try_from_toolpath_planned`]); the bench harness reads
-/// them before/after a run and reports the delta.
+/// ([`PrintedPart::try_from_toolpath_planned`]); the repository
+/// benchmark reads them before/after a run and reports the delta.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StampCounters {
     /// Span records the plan phase compiled (counted after merging).

@@ -42,9 +42,9 @@ pub enum RoutePolicy {
     /// on the same backend and ride its warm cache (the default).
     #[default]
     Affinity,
-    /// Rotate across backends regardless of the job — the baseline the
-    /// bench compares against; shared prefixes smear across the fleet
-    /// and the warm hit rate collapses toward 1/N.
+    /// Rotate across backends regardless of the job — the cache-oblivious
+    /// baseline affinity is tested against; shared prefixes smear across
+    /// the fleet and the warm hit rate collapses toward 1/N.
     RoundRobin,
 }
 

@@ -1,6 +1,6 @@
 //! Client side: a blocking one-request-at-a-time [`Client`], plus the
-//! [`run_load`] generator the CLI (`submit --load`) and the bench serve
-//! mode use to measure the daemon under concurrency.
+//! [`run_load_with`] generator the CLI (`submit --load`) uses to drive
+//! the daemon under concurrency.
 //!
 //! The load generator verifies more than liveness: when given the
 //! expected wire encoding (computed in-process by
@@ -849,23 +849,13 @@ pub fn expected_sanitize_wire(specs: &[SanitizeSpec]) -> Result<String, String> 
 /// When `expected` is given (see [`expected_results_wire`]), each
 /// response's results array must render to exactly those bytes;
 /// divergences are counted as mismatches.
-pub fn run_load(
-    endpoint: &Endpoint,
-    total: u64,
-    concurrency: usize,
-    jobs: &[JobSpec],
-    expected: Option<&str>,
-) -> LoadReport {
-    run_load_with(endpoint, total, concurrency, jobs, expected, &RetryPolicy::default(), Codec::Json)
-}
-
-/// [`run_load`] with an explicit [`RetryPolicy`] and wire codec: each
-/// client thread drives a [`RetryingClient`], so transient failures
-/// (chaos-injected connection drops, worker panics, even a daemon
-/// restart mid-run) are retried with backoff instead of counted as
-/// errors. Only a request that still fails after exhausting the
-/// policy's attempts — or a non-retryable typed error — lands in
-/// `errors`.
+///
+/// Each client thread drives a [`RetryingClient`] under `policy` on the
+/// given wire codec, so transient failures (chaos-injected connection
+/// drops, worker panics, even a daemon restart mid-run) are retried
+/// with backoff instead of counted as errors. Only a request that still
+/// fails after exhausting the policy's attempts — or a non-retryable
+/// typed error — lands in `errors`.
 ///
 /// The byte-identity check is codec-independent: binary responses are
 /// decoded and re-rendered as canonical JSON before comparing against
@@ -951,89 +941,6 @@ fn merge_client_counters(report: &mut LoadReport, client: &RetryingClient) {
     report.connects += client.connects();
     report.reconnects += client.reconnects();
     report.failovers += client.failovers();
-}
-
-/// One request of a mixed load run: a job batch plus (optionally) its
-/// expected results-array rendering from [`expected_results_wire`].
-#[derive(Debug, Clone)]
-pub struct LoadRequest {
-    /// Jobs submitted together in one `run` frame.
-    pub jobs: Vec<JobSpec>,
-    /// Expected wire rendering of the results array; responses that
-    /// differ count as mismatches.
-    pub expected: Option<String>,
-}
-
-/// Like [`run_load_with`], but every request can carry a *different*
-/// job batch — the shape fleet sweeps need, where the request stream
-/// interleaves several stage-key prefixes. Worker `w` takes requests
-/// `w, w + concurrency, w + 2·concurrency, …` in order, so a seed-major
-/// request grid spreads each wave of prefixes across the workers
-/// deterministically.
-pub fn run_load_mixed(
-    endpoint: &Endpoint,
-    requests: &[LoadRequest],
-    concurrency: usize,
-    policy: &RetryPolicy,
-    codec: Codec,
-) -> LoadReport {
-    let concurrency = concurrency.max(1);
-    let report = Mutex::new(LoadReport {
-        requests: requests.len() as u64,
-        concurrency,
-        ..LoadReport::default()
-    });
-    let started = Instant::now();
-
-    std::thread::scope(|scope| {
-        for worker in 0..concurrency {
-            if worker >= requests.len() {
-                continue;
-            }
-            let report = &report;
-            scope.spawn(move || {
-                let policy = policy.with_jitter_seed(worker as u64 + 1);
-                let mut client = RetryingClient::new_with_codec(endpoint, policy, codec);
-                let share = requests.iter().skip(worker).step_by(concurrency);
-                if client.connect().is_err() {
-                    let mut r = report.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                    r.dropped_connections += 1;
-                    r.errors += share.count() as u64;
-                    merge_client_counters(&mut r, &client);
-                    return;
-                }
-                let mut latencies = Vec::new();
-                let mut errors = 0u64;
-                let mut mismatches = 0u64;
-                for request in share {
-                    let sent = Instant::now();
-                    match client.run(&request.jobs, None) {
-                        Ok(Response::Results { results, .. }) => {
-                            latencies.push(sent.elapsed().as_secs_f64() * 1e3);
-                            if let Some(expected) = &request.expected {
-                                if Json::Array(results).render() != *expected {
-                                    mismatches += 1;
-                                }
-                            }
-                        }
-                        Ok(_) | Err(_) => errors += 1,
-                    }
-                }
-                let mut r = report.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                r.latencies_ms.extend(latencies);
-                r.errors += errors;
-                r.mismatches += mismatches;
-                merge_client_counters(&mut r, &client);
-            });
-        }
-    });
-
-    let mut report = report.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
-    report.wall_s = started.elapsed().as_secs_f64();
-    report
-        .latencies_ms
-        .sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    report
 }
 
 #[cfg(test)]

@@ -48,9 +48,8 @@ pub mod reactor;
 pub mod server;
 
 pub use client::{
-    expected_detections_wire, expected_results_wire, expected_sanitize_wire, run_load,
-    run_load_mixed, run_load_with, Client, Endpoint, LoadReport, LoadRequest, RetryPolicy,
-    RetryingClient,
+    expected_detections_wire, expected_results_wire, expected_sanitize_wire, run_load_with,
+    Client, Endpoint, LoadReport, RetryPolicy, RetryingClient,
 };
 pub use codec::{decode_hello, encode_hello, is_binary_hello, Codec, BINARY_MAGIC, BINARY_VERSION};
 pub use protocol::{

@@ -8,8 +8,8 @@
 //!   O(layers × tris) — and layers slice independently on an
 //!   [`am_par::Pool`];
 //! * the **per-layer scan** ([`slice_shells_scan`]) walks the full mesh for
-//!   every plane. It is kept as the reference baseline for benchmarks and
-//!   the bucketing regression test.
+//!   every plane. It is kept, for tests only, as the reference of the
+//!   bucketing regression test.
 
 use std::collections::HashMap;
 
@@ -210,8 +210,8 @@ pub fn try_slice_shells_with(
 }
 
 /// Slices with the legacy per-layer full-mesh scan: every plane visits every
-/// triangle. O(layers × tris); kept as the benchmark baseline and the
-/// reference the interval sweep is pinned against in tests.
+/// triangle. O(layers × tris); kept as the reference the interval sweep is
+/// pinned against in tests.
 ///
 /// # Errors
 ///
