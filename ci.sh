@@ -16,7 +16,7 @@
 #    the boot race the old external wait loop papered over), then drain
 #    the daemon with a `shutdown` request and wait for it.
 #    The detect stage (PR 10) rides the same daemon: batch side-channel
-#    detection jobs (clean, faulted, and jammed captures) and a
+#    detection jobs (clean, faulted, jammed and room-quality captures) and a
 #    stego-sanitization job are served on BOTH wire codecs with
 #    `--verify`, which byte-compares every served report against an
 #    in-process `am-detect` run of the same spec
@@ -69,13 +69,17 @@ SERVE_PID=$!
 # --- detect stage ------------------------------------------------------
 # Side-channel detection and stego sanitization through the live daemon,
 # byte-verified against the in-process am-detect reference on both
-# codecs: a clean suspect, a faulted suspect under acoustic jamming, and
-# a sanitize job that embeds a seeded payload first.
+# codecs: a clean suspect, a faulted suspect under acoustic jamming, a
+# faulted suspect at the noisiest capture preset (room: sign-error draws
+# and the heaviest zero clamping), and a sanitize job that embeds a
+# seeded payload first.
 ./target/release/obfuscade submit --port-file target/serve.addr --kind detect \
     --verify >/dev/null
 ./target/release/obfuscade submit --port-file target/serve.addr --kind detect \
     --faults "toolpath.dup=0.5" --quality lab --jam 2.5 --trace-seed 7 \
     --codec binary --verify >/dev/null
+./target/release/obfuscade submit --port-file target/serve.addr --kind detect \
+    --quality room --faults "toolpath.drop=0.1" --verify >/dev/null
 ./target/release/obfuscade submit --port-file target/serve.addr --kind sanitize \
     --payload-seed 7 --payload-bits 3 --verify >/dev/null
 ./target/release/obfuscade submit --port-file target/serve.addr --kind sanitize \

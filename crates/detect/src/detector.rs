@@ -4,11 +4,11 @@
 //!
 //! Detection compares *distributions*, not frame sequences: an injected
 //! fault changes the road set, so the suspect trace has a different frame
-//! count than the golden master. Each trace is summarized by a feature
-//! vector of order-statistic quantiles (via [`obfuscade::metrics::quantile`]
-//! — the same rank rule the service latency histograms use) plus scalar
-//! invariants, and a detector score is the normalized distance between
-//! the suspect's features and the golden master's.
+//! count than the golden master. Each capture is summarized by a feature
+//! vector of decile order statistics — the [`quantile_rank`]-th smallest
+//! reading per probe, the rank rule the service latency histograms use —
+//! plus scalar invariants, and a detector score is the normalized distance
+//! between the suspect's features and the golden master's.
 //!
 //! Thresholds are not magic numbers: [`Calibration::calibrate`] replays
 //! the *golden* tool path through the capture channel at independent
@@ -16,12 +16,15 @@
 //! their monitoring too) and takes the `1 - fpr_target` quantile of those
 //! null scores. All three detectors therefore operate at the same nominal
 //! false-positive rate, which is what makes their catch rates comparable.
+//!
+//! Every capture of one tool path shares one [`CapturePlan`]: calibration
+//! plans the golden path once and replays it for the golden master and
+//! each null, drawing only the seeded noise into reused buffers, and the
+//! features are read straight off those buffers.
 
-use am_sidechannel::{record_emissions, CaptureQuality, EmissionFrame, NoiseEmitter};
+use am_sidechannel::{CapturePlan, CaptureQuality, EmissionDraw, NoiseEmitter};
 use am_slicer::ToolPath;
-use obfuscade::metrics::quantile;
-
-use crate::power::{record_power, PowerSample};
+use obfuscade::metrics::{quantile, quantile_rank};
 
 /// Score reported for suspects that never reached tool-path planning (a
 /// typed process guard rejected them upstream). Far above any calibrated
@@ -48,17 +51,29 @@ pub(crate) fn mix(seed: u64, salt: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Quantile feature vector of one scalar distribution.
+/// Decile feature vector of one scalar distribution: per probe, the
+/// [`quantile_rank`]-th smallest value under [`f64::total_cmp`] (all zero
+/// when empty). Found by selection, which reorders `values`: the ranks
+/// ascend, and after each select every value left of the selected slot is
+/// no greater than any value right of it, so the next rank is selected
+/// among the values right of it.
 fn deciles(values: &mut [f64]) -> [f64; 9] {
-    values.sort_by(f64::total_cmp);
     let mut q = [0.0; 9];
+    let mut selected = 0;
     for (slot, p) in q.iter_mut().zip(PROBES) {
-        *slot = quantile(values, p);
+        let Some(k) = quantile_rank(p, values.len()).checked_sub(1) else {
+            break;
+        };
+        if k >= selected {
+            values[selected..].select_nth_unstable_by(k - selected, f64::total_cmp);
+            selected = k + 1;
+        }
+        *slot = values[k];
     }
     q
 }
 
-/// Acoustic-trace features: stepper-tone quantiles per axis plus the
+/// Acoustic-capture features: stepper-tone deciles per axis plus the
 /// scalar shape invariants of the capture.
 #[derive(Debug, Clone, PartialEq)]
 struct AudioFeatures {
@@ -70,20 +85,6 @@ struct AudioFeatures {
 }
 
 impl AudioFeatures {
-    fn of(trace: &[EmissionFrame]) -> AudioFeatures {
-        let mut fx: Vec<f64> = trace.iter().map(|f| f.fx_hz).collect();
-        let mut fy: Vec<f64> = trace.iter().map(|f| f.fy_hz).collect();
-        let total_s: f64 = trace.iter().map(|f| f.duration_s).sum();
-        let extruding = trace.iter().filter(|f| f.extruding).count();
-        AudioFeatures {
-            frames: trace.len() as f64,
-            total_s,
-            extrude_fraction: extruding as f64 / (trace.len().max(1)) as f64,
-            fx_q: deciles(&mut fx),
-            fy_q: deciles(&mut fy),
-        }
-    }
-
     /// Normalized distance to another capture of (nominally) the same
     /// print. Quantile terms are relative to the golden tone scale so
     /// the score is unit-free.
@@ -107,7 +108,7 @@ impl AudioFeatures {
     }
 }
 
-/// Power-trace features: draw quantiles plus total energy and duration.
+/// Power-capture features: draw deciles plus total energy and duration.
 #[derive(Debug, Clone, PartialEq)]
 struct PowerFeatures {
     samples: f64,
@@ -117,16 +118,6 @@ struct PowerFeatures {
 }
 
 impl PowerFeatures {
-    fn of(trace: &[PowerSample]) -> PowerFeatures {
-        let mut watts: Vec<f64> = trace.iter().map(|s| s.watts).collect();
-        PowerFeatures {
-            samples: trace.len() as f64,
-            total_s: trace.iter().map(|s| s.duration_s).sum(),
-            energy_j: trace.iter().map(|s| s.watts * s.duration_s).sum(),
-            watts_q: deciles(&mut watts),
-        }
-    }
-
     fn distance(&self, other: &PowerFeatures) -> f64 {
         let scale = self.watts_q.iter().fold(0.0f64, |m, v| m.max(*v)).max(1.0);
         let mut d = 0.0;
@@ -144,6 +135,51 @@ impl PowerFeatures {
 /// Symmetric relative gap `|a-b| / max(|a|,|b|,1)` — bounded, unit-free.
 fn rel_gap(a: f64, b: f64) -> f64 {
     (a - b).abs() / a.abs().max(b.abs()).max(1.0)
+}
+
+/// The noise buffers of one field capture, reused across captures.
+#[derive(Debug, Default)]
+struct Capture {
+    tones: EmissionDraw,
+    watts: Vec<f64>,
+}
+
+impl Capture {
+    /// Draws one capture of `plan` at `seed` — the acoustic readings,
+    /// jammed when `jam` is set, and the power draw — and summarizes it.
+    fn features(
+        &mut self,
+        plan: &CapturePlan,
+        quality: CaptureQuality,
+        jam: Option<NoiseEmitter>,
+        seed: u64,
+    ) -> (AudioFeatures, PowerFeatures) {
+        plan.draw_emissions(quality, seed, &mut self.tones);
+        if let Some(jam) = jam {
+            // The jammer pollutes the *acoustic* field capture — the
+            // defender's monitoring microphone hears its own decoys. The
+            // supply-side power clamp is immune.
+            jam.jam(&mut self.tones, mix(seed, JAM_SALT));
+        }
+        plan.draw_power(quality, seed, &mut self.watts);
+        let frames = plan.len() as f64;
+        let audio = AudioFeatures {
+            frames,
+            total_s: plan.total_s(),
+            extrude_fraction: plan.extruding() as f64 / (plan.len().max(1)) as f64,
+            fx_q: deciles(&mut self.tones.fx_hz),
+            fy_q: deciles(&mut self.tones.fy_hz),
+        };
+        // Energy before the deciles: selection reorders the buffer.
+        let energy_j = self.watts.iter().zip(plan.frames()).map(|(w, f)| w * f.duration_s).sum();
+        let power = PowerFeatures {
+            samples: frames,
+            total_s: plan.total_s(),
+            energy_j,
+            watts_q: deciles(&mut self.watts),
+        };
+        (audio, power)
+    }
 }
 
 /// The three scores (and verdicts) of one suspect capture.
@@ -178,18 +214,19 @@ pub struct Calibration {
     pub fused_threshold: f64,
     /// Frames in the golden master's acoustic capture.
     pub golden_frames: u64,
+    golden_plan: CapturePlan,
     golden_audio: AudioFeatures,
     golden_power: PowerFeatures,
     quality: CaptureQuality,
     jam: Option<NoiseEmitter>,
-    feed_mm_per_s: f64,
 }
 
 impl Calibration {
-    /// Builds the detector bank: records the golden master trace, then
-    /// replays the same tool path through the (jammed) capture channel
-    /// `null_replicates` times at independent seeds and sets each
-    /// threshold to the `1 - fpr_target` quantile of the null scores.
+    /// Builds the detector bank: plans the golden tool path's captures
+    /// once, records the golden master from that plan, then replays it
+    /// through the (jammed) capture channel `null_replicates` times at
+    /// independent seeds and sets each threshold to the `1 - fpr_target`
+    /// quantile of the null scores.
     ///
     /// # Panics
     ///
@@ -211,79 +248,60 @@ impl Calibration {
         );
         let jam = (jam_amplitude > 0.0)
             .then_some(NoiseEmitter { relative_amplitude: jam_amplitude });
+        let golden_plan = CapturePlan::new(golden, feed_mm_per_s);
+        let mut capture = Capture::default();
         // The golden master is captured pre-deployment in a controlled
         // setup: no jamming, but the same sensor quality.
-        let golden_trace =
-            record_emissions(golden, feed_mm_per_s, quality, mix(trace_seed, GOLDEN_SALT));
-        let golden_power_trace =
-            record_power(golden, feed_mm_per_s, quality, mix(trace_seed, GOLDEN_SALT));
-        let mut cal = Calibration {
-            audio_threshold: 0.0,
-            power_threshold: 0.0,
-            fused_threshold: 0.0,
-            golden_frames: golden_trace.len() as u64,
-            golden_audio: AudioFeatures::of(&golden_trace),
-            golden_power: PowerFeatures::of(&golden_power_trace),
-            quality,
-            jam,
-            feed_mm_per_s,
-        };
+        let (golden_audio, golden_power) =
+            capture.features(&golden_plan, quality, None, mix(trace_seed, GOLDEN_SALT));
         let mut audio_null = Vec::with_capacity(null_replicates);
         let mut power_null = Vec::with_capacity(null_replicates);
         for i in 0..null_replicates {
             let seed = mix(trace_seed, NULL_SALT.wrapping_add(i as u64));
-            let (audio, power) = cal.raw_scores(golden, seed);
-            audio_null.push(audio);
-            power_null.push(power);
+            let (audio, power) = capture.features(&golden_plan, quality, jam, seed);
+            audio_null.push(golden_audio.distance(&audio));
+            power_null.push(golden_power.distance(&power));
         }
         audio_null.sort_by(f64::total_cmp);
         power_null.sort_by(f64::total_cmp);
         let p = 1.0 - fpr_target;
-        cal.audio_threshold = quantile(&audio_null, p).max(f64::MIN_POSITIVE);
-        cal.power_threshold = quantile(&power_null, p).max(f64::MIN_POSITIVE);
+        let audio_threshold = quantile(&audio_null, p).max(f64::MIN_POSITIVE);
+        let power_threshold = quantile(&power_null, p).max(f64::MIN_POSITIVE);
+        // The fused null pairs the two sorted nulls rank by rank, not
+        // replicate by replicate (see DESIGN.md §16).
         let mut fused_null: Vec<f64> = audio_null
             .iter()
             .zip(&power_null)
-            .map(|(a, w)| (a / cal.audio_threshold).max(w / cal.power_threshold))
+            .map(|(a, w)| (a / audio_threshold).max(w / power_threshold))
             .collect();
         fused_null.sort_by(f64::total_cmp);
-        cal.fused_threshold = quantile(&fused_null, p).max(f64::MIN_POSITIVE);
-        cal
-    }
-
-    /// Records a field capture of `suspect` at `capture_seed` and
-    /// returns the raw (audio, power) distances from the golden master.
-    fn raw_scores(&self, suspect: &ToolPath, capture_seed: u64) -> (f64, f64) {
-        let (audio, power) = self.capture(suspect, capture_seed);
-        (
-            self.golden_audio.distance(&AudioFeatures::of(&audio)),
-            self.golden_power.distance(&PowerFeatures::of(&power)),
-        )
-    }
-
-    fn capture(
-        &self,
-        suspect: &ToolPath,
-        capture_seed: u64,
-    ) -> (Vec<EmissionFrame>, Vec<PowerSample>) {
-        let mut audio =
-            record_emissions(suspect, self.feed_mm_per_s, self.quality, capture_seed);
-        if let Some(jam) = self.jam {
-            // The jammer pollutes the *acoustic* field capture — the
-            // defender's monitoring microphone hears its own decoys. The
-            // supply-side power clamp is immune.
-            audio = jam.apply(&audio, mix(capture_seed, JAM_SALT));
+        Calibration {
+            audio_threshold,
+            power_threshold,
+            fused_threshold: quantile(&fused_null, p).max(f64::MIN_POSITIVE),
+            golden_frames: golden_plan.len() as u64,
+            golden_plan,
+            golden_audio,
+            golden_power,
+            quality,
+            jam,
         }
-        let power = record_power(suspect, self.feed_mm_per_s, self.quality, capture_seed);
-        (audio, power)
+    }
+
+    /// The golden tool path's capture plan: held-out genuine recaptures
+    /// score against it without planning the golden path again.
+    pub fn golden_plan(&self) -> &CapturePlan {
+        &self.golden_plan
     }
 
     /// Scores one field capture of `suspect` (seeded by `capture_seed`)
-    /// against the golden master and the calibrated thresholds.
-    pub fn score(&self, suspect: &ToolPath, capture_seed: u64) -> ChannelScores {
-        let (audio_trace, power_trace) = self.capture(suspect, capture_seed);
-        let audio = self.golden_audio.distance(&AudioFeatures::of(&audio_trace));
-        let power = self.golden_power.distance(&PowerFeatures::of(&power_trace));
+    /// against the golden master and the calibrated thresholds. The plan
+    /// must be made at the golden master's feed rate.
+    pub fn score(&self, suspect: &CapturePlan, capture_seed: u64) -> ChannelScores {
+        let (audio_features, power_features) =
+            Capture::default().features(suspect, self.quality, self.jam, capture_seed);
+        let audio = self.golden_audio.distance(&audio_features);
+        let power = self.golden_power.distance(&power_features);
         let fused = (audio / self.audio_threshold).max(power / self.power_threshold);
         ChannelScores {
             audio,
@@ -292,7 +310,7 @@ impl Calibration {
             audio_flagged: audio > self.audio_threshold,
             power_flagged: power > self.power_threshold,
             fused_flagged: fused > self.fused_threshold,
-            suspect_frames: audio_trace.len() as u64,
+            suspect_frames: suspect.len() as u64,
         }
     }
 
@@ -316,6 +334,7 @@ mod tests {
     use super::*;
     use am_geom::Point2;
     use am_slicer::{Road, RoadKind, ToolMaterial};
+    use proptest::prelude::*;
 
     fn serpentine(rows: usize) -> ToolPath {
         let mut roads = Vec::new();
@@ -351,12 +370,16 @@ mod tests {
         Calibration::calibrate(tp, 30.0, CaptureQuality::smartphone(), jam, 11, 16, 0.05)
     }
 
+    fn plan(tp: &ToolPath) -> CapturePlan {
+        CapturePlan::new(tp, 30.0)
+    }
+
     #[test]
     fn genuine_recaptures_mostly_pass() {
         let tp = serpentine(80);
         let c = cal(&tp, 0.0);
         let flags = (0..20)
-            .filter(|i| c.score(&tp, mix(77, 300 + i)).fused_flagged)
+            .filter(|i| c.score(c.golden_plan(), mix(77, 300 + i)).fused_flagged)
             .count();
         assert!(flags <= 4, "null fused flags: {flags}/20");
     }
@@ -365,7 +388,7 @@ mod tests {
     fn dropped_roads_are_caught_on_every_channel() {
         let tp = serpentine(80);
         let c = cal(&tp, 0.0);
-        let s = c.score(&dropped(&tp, 10), mix(77, 12345));
+        let s = c.score(&plan(&dropped(&tp, 10)), mix(77, 12345));
         assert!(s.audio_flagged, "audio {} thr {}", s.audio, c.audio_threshold);
         assert!(s.power_flagged, "power {} thr {}", s.power, c.power_threshold);
         assert!(s.fused_flagged, "fused {} thr {}", s.fused, c.fused_threshold);
@@ -394,7 +417,7 @@ mod tests {
         assert_eq!(a.audio_threshold, b.audio_threshold);
         assert_eq!(a.power_threshold, b.power_threshold);
         assert_eq!(a.fused_threshold, b.fused_threshold);
-        assert_eq!(a.score(&tp, 5), b.score(&tp, 5));
+        assert_eq!(a.score(&plan(&tp), 5), b.score(&plan(&tp), 5));
     }
 
     #[test]
@@ -405,5 +428,68 @@ mod tests {
         assert!(s.audio_flagged && s.power_flagged && s.fused_flagged);
         assert_eq!(s.audio, BLOCKED_SCORE);
         assert_eq!(s.suspect_frames, 0);
+    }
+
+    /// The deciles as the seed computed them: a full sort, then
+    /// [`quantile`] at each probe.
+    fn sorted_deciles(values: &[f64]) -> [f64; 9] {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        PROBES.map(|p| quantile(&sorted, p))
+    }
+
+    fn assert_same_bits(values: &[f64]) {
+        let expected = sorted_deciles(values).map(f64::to_bits);
+        let selected = deciles(&mut values.to_vec()).map(f64::to_bits);
+        assert_eq!(selected, expected, "deciles of {values:?}");
+    }
+
+    /// One feature reading, biased toward the cases selection must get
+    /// bit-exact: heavy duplicates, ±0.0, subnormals, and arbitrary bit
+    /// patterns (infinities and NaNs included — `total_cmp` orders them).
+    fn reading() -> impl Strategy<Value = f64> {
+        (0u8..8, 0..u64::MAX).prop_map(|(kind, bits)| match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from_bits(bits % (1 << 52)),
+            3 => -f64::from_bits(bits % (1 << 52)),
+            4 | 5 => (bits % 4) as f64 * 0.5,
+            6 => f64::from_bits(bits),
+            _ => (bits >> 11) as f64 / (1u64 << 53) as f64 * 4000.0,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn selected_deciles_match_sorted_deciles(values in collection::vec(reading(), 0..65)) {
+            assert_same_bits(&values);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn selected_deciles_match_sorted_deciles_on_long_traces(
+            values in collection::vec(reading(), 1000..6000),
+        ) {
+            assert_same_bits(&values);
+        }
+    }
+
+    #[test]
+    fn selected_deciles_of_short_and_empty_traces() {
+        assert_eq!(deciles(&mut []).map(f64::to_bits), [0.0f64.to_bits(); 9]);
+        for n in 1..10 {
+            // Repeated ranks (n < 10) and ties at every rank.
+            let values: Vec<f64> = (0..n).map(|i| ((i * 7) % 3) as f64 - 1.0).collect();
+            assert_same_bits(&values);
+            let mut ascending: Vec<f64> = (0..n).map(|i| i as f64).collect();
+            assert_same_bits(&ascending);
+            ascending.reverse();
+            assert_same_bits(&ascending);
+        }
     }
 }

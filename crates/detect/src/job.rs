@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use am_cad::Part;
-use am_sidechannel::CaptureQuality;
+use am_sidechannel::{CapturePlan, CaptureQuality};
 use obfuscade::{
     plan_toolpath, print_toolpath, Deadline, DetectionReport, FaultPlan, PipelineError,
     ProcessPlan, SanitizeReport, StageCache, StageHasher, StageKey,
@@ -134,7 +134,10 @@ pub fn detect_counterfeit(
         config.fpr_target,
     );
     let (scores, blocked_by) = match &suspect {
-        Ok(suspect) => (cal.score(&suspect.toolpath, config.trace_seed), None),
+        Ok(suspect) => {
+            let suspect = CapturePlan::new(&suspect.toolpath, plan.printer.feed_mm_per_s);
+            (cal.score(&suspect, config.trace_seed), None)
+        }
         Err(stage) => (cal.score_blocked(), Some(stage.clone())),
     };
     let report = DetectionReport {

@@ -7,8 +7,8 @@
 //! physical emissions. This crate closes the loop from the defender's
 //! side (ROADMAP: "Defensive workload suite"):
 //!
-//! * [`record_power`] synthesizes the mains-side power trace of a
-//!   planned tool path, the dual of the acoustic trace
+//! * [`record_power`] (from `am-sidechannel`) synthesizes the mains-side
+//!   power trace of a planned tool path, the dual of the acoustic trace
 //!   [`am_sidechannel::record_emissions`] produces;
 //! * [`Calibration`] builds a three-detector bank — audio signature,
 //!   power envelope, and the fused max-of-normalized-scores — with
@@ -55,7 +55,6 @@
 
 mod detector;
 mod job;
-mod power;
 mod roc;
 mod stego;
 
@@ -64,7 +63,7 @@ pub use job::{
     capture_quality, detect_counterfeit, detection_key, fingerprint, sanitize_key,
     sanitize_toolpath, DetectConfig, DetectError, SanitizeConfig,
 };
-pub use power::{
+pub use am_sidechannel::{
     record_power, PowerSample, ACCEL_JOULES_PER_MM_S, AXIS_WATTS_PER_MM_S, EXTRUDE_WATTS,
     IDLE_WATTS,
 };

@@ -9,6 +9,7 @@
 //! `obfuscade detect-roc`, `obfuscade report detect` and EXPERIMENTS.md.
 
 use am_cad::Part;
+use am_sidechannel::CapturePlan;
 use obfuscade::json::Json;
 use obfuscade::{plan_toolpath, Deadline, FaultPlan, ProcessPlan, StageCache};
 
@@ -148,9 +149,11 @@ impl RocTable {
 
 /// Runs the sweep over the complete single-fault catalog.
 ///
-/// Suspect tool paths are planned once through the shared `cache` and
-/// reused across every capture setup; the sweep's cost is dominated by
-/// trace synthesis, which is linear in road count.
+/// Suspect tool paths are planned once through the shared `cache`, and
+/// their captures once per sweep: every setup and replicate replays the
+/// same [`CapturePlan`], and the held-out nulls replay the calibration's
+/// golden plan. The sweep's cost is the seeded noise draws and their
+/// deciles, linear in road count.
 ///
 /// # Errors
 ///
@@ -166,12 +169,14 @@ pub fn run_roc_sweep(
 ) -> Result<RocTable, DetectError> {
     let golden = plan_toolpath(part, plan, &FaultPlan::none(), cache, deadline)
         .map_err(DetectError::Pipeline)?;
+    let feed = plan.printer.feed_mm_per_s;
     let catalog = FaultPlan::catalog();
-    // Plan every suspect once, up front (cache-warm for all setups).
+    // Plan every suspect and its captures once, up front (shared by all
+    // setups).
     let mut suspects = Vec::with_capacity(catalog.len());
     for (name, faults) in &catalog {
         match plan_toolpath(part, plan, faults, cache, deadline) {
-            Ok(planned) => suspects.push((*name, Some(planned.toolpath))),
+            Ok(planned) => suspects.push((*name, Some(CapturePlan::new(&planned.toolpath, feed)))),
             Err(obfuscade::PipelineError::DeadlineExceeded { stage }) => {
                 return Err(DetectError::Pipeline(
                     obfuscade::PipelineError::DeadlineExceeded { stage },
@@ -188,7 +193,7 @@ pub fn run_roc_sweep(
         for &jam in &config.jam_amplitudes {
             let cal = Calibration::calibrate(
                 &golden.toolpath,
-                plan.printer.feed_mm_per_s,
+                feed,
                 quality,
                 jam,
                 config.detect.trace_seed,
@@ -200,7 +205,7 @@ pub fn run_roc_sweep(
             let (mut a_fp, mut p_fp, mut f_fp) = (0usize, 0usize, 0usize);
             for i in 0..config.holdout_nulls {
                 let seed = mix(config.detect.trace_seed, HOLDOUT_SALT.wrapping_add(i as u64));
-                let s = cal.score(&golden.toolpath, seed);
+                let s = cal.score(cal.golden_plan(), seed);
                 a_fp += usize::from(s.audio_flagged);
                 p_fp += usize::from(s.power_flagged);
                 f_fp += usize::from(s.fused_flagged);
@@ -208,13 +213,13 @@ pub fn run_roc_sweep(
             let nulls = config.holdout_nulls.max(1) as f64;
 
             let (mut a_sum, mut p_sum, mut f_sum) = (0.0, 0.0, 0.0);
-            for (fault_idx, (name, toolpath)) in suspects.iter().enumerate() {
-                let (audio_catch, power_catch, fused_catch) = match toolpath {
+            for (fault_idx, (name, capture)) in suspects.iter().enumerate() {
+                let (audio_catch, power_catch, fused_catch) = match capture {
                     // Blocked upstream: trivially caught on every
                     // channel — a part program the guards reject never
                     // reaches the floor.
                     None => (1.0, 1.0, 1.0),
-                    Some(toolpath) => {
+                    Some(capture) => {
                         let (mut a, mut p, mut f) = (0usize, 0usize, 0usize);
                         for r in 0..config.replicates {
                             let seed = mix(
@@ -222,7 +227,7 @@ pub fn run_roc_sweep(
                                 REPLICATE_SALT
                                     .wrapping_add((fault_idx * 1024 + r) as u64),
                             );
-                            let s = cal.score(toolpath, seed);
+                            let s = cal.score(capture, seed);
                             a += usize::from(s.audio_flagged);
                             p += usize::from(s.power_flagged);
                             f += usize::from(s.fused_flagged);
@@ -238,7 +243,7 @@ pub fn run_roc_sweep(
                     fault: (*name).to_string(),
                     quality: quality_name.clone(),
                     jam_amplitude: jam,
-                    blocked: toolpath.is_none(),
+                    blocked: capture.is_none(),
                     audio_catch,
                     power_catch,
                     fused_catch,

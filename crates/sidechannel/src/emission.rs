@@ -6,8 +6,8 @@
 //! trace such an attacker would capture.
 
 use am_slicer::ToolPath;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+
+use crate::plan::{CapturePlan, EmissionDraw};
 
 /// Stepper micro-steps per millimetre of axis travel (typical FDM
 /// kinematics).
@@ -68,7 +68,8 @@ impl CaptureQuality {
     }
 }
 
-/// Records the emission trace of a tool path at the given feed rate.
+/// Records the emission trace of a tool path at the given feed rate: the
+/// tool path's [`CapturePlan`] plus one seeded draw of its readings.
 ///
 /// # Panics
 ///
@@ -89,60 +90,22 @@ pub fn record_emissions(
     quality: CaptureQuality,
     seed: u64,
 ) -> Vec<EmissionFrame> {
-    assert!(feed_mm_per_s > 0.0, "feed rate must be positive");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut frames = Vec::with_capacity(toolpath.roads.len() * 2);
-    let mut head: Option<am_geom::Point2> = None;
-    for road in &toolpath.roads {
-        // The steppers also hum during (non-extruding) travel moves between
-        // roads — the attacker records those too, which is what keeps the
-        // dead-reckoned position from drifting at every road boundary.
-        if let Some(p) = head {
-            if p.distance(road.from) > 1e-9 {
-                frames.push(frame_for(p, road.from, road.z, false, feed_mm_per_s, quality, &mut rng));
-            }
-        }
-        frames.push(frame_for(
-            road.from,
-            road.to,
-            road.z,
-            true,
-            feed_mm_per_s,
-            quality,
-            &mut rng,
-        ));
-        head = Some(road.to);
-    }
-    frames
-}
-
-#[allow(clippy::too_many_arguments)]
-fn frame_for(
-    from: am_geom::Point2,
-    to: am_geom::Point2,
-    z: f64,
-    extruding: bool,
-    feed: f64,
-    quality: CaptureQuality,
-    rng: &mut StdRng,
-) -> EmissionFrame {
-    let d = to - from;
-    let len = d.length().max(1e-9);
-    let duration = len / feed;
-    // Cycle counts the attacker extracts per axis, miscounted by a few.
-    let cycles = |axis: f64, rng: &mut StdRng| {
-        (axis.abs() * STEPS_PER_MM + quality.cycle_noise * rng.gen_range(-1.0..1.0f64)).max(0.0)
-    };
-    let flip = |rng: &mut StdRng| rng.gen_bool(quality.sign_error_rate);
-    EmissionFrame {
-        duration_s: duration,
-        fx_hz: cycles(d.x, rng) / duration,
-        fy_hz: cycles(d.y, rng) / duration,
-        x_positive: (d.x >= 0.0) != flip(rng),
-        y_positive: (d.y >= 0.0) != flip(rng),
-        extruding,
-        z,
-    }
+    let plan = CapturePlan::new(toolpath, feed_mm_per_s);
+    let mut draw = EmissionDraw::default();
+    plan.draw_emissions(quality, seed, &mut draw);
+    plan.frames()
+        .iter()
+        .enumerate()
+        .map(|(i, f)| EmissionFrame {
+            duration_s: f.duration_s,
+            fx_hz: draw.fx_hz[i],
+            fy_hz: draw.fy_hz[i],
+            x_positive: draw.x_positive[i],
+            y_positive: draw.y_positive[i],
+            extruding: f.extruding,
+            z: f.z,
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::EmissionFrame;
+use crate::{EmissionDraw, EmissionFrame};
 
 /// An active noise source deployed next to the printer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,24 +44,60 @@ impl NoiseEmitter {
     /// assert!(jammed.is_empty());
     /// ```
     pub fn apply(&self, trace: &[EmissionFrame], seed: u64) -> Vec<EmissionFrame> {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x4a4d);
+        let mut decoys = self.decoys(seed);
+        let mut out = trace.to_vec();
+        for f in &mut out {
+            decoys.frame(&mut f.fx_hz, &mut f.fy_hz, &mut f.x_positive, &mut f.y_positive);
+        }
+        out
+    }
+
+    /// [`NoiseEmitter::apply`] on the readings of a planned capture, in
+    /// place: the same per-frame decoy stream, frame for frame.
+    pub fn jam(&self, draw: &mut EmissionDraw, seed: u64) {
+        let mut decoys = self.decoys(seed);
+        let frames = draw
+            .fx_hz
+            .iter_mut()
+            .zip(&mut draw.fy_hz)
+            .zip(&mut draw.x_positive)
+            .zip(&mut draw.y_positive);
+        for (((fx, fy), x_positive), y_positive) in frames {
+            decoys.frame(fx, fy, x_positive, y_positive);
+        }
+    }
+
+    fn decoys(&self, seed: u64) -> Decoys {
         // Capture-lock probability saturates: equal loudness corrupts about
         // half the frames; a matched jammer nearly all of them.
         let p_lock = (self.relative_amplitude / (1.0 + self.relative_amplitude)).clamp(0.0, 0.95);
-        trace
-            .iter()
-            .map(|f| {
-                let mut out = *f;
-                if rng.gen_bool(p_lock) {
-                    // The attacker's peak picker locks onto a decoy tone.
-                    out.fx_hz = rng.gen_range(200.0..4000.0);
-                    out.fy_hz = rng.gen_range(200.0..4000.0);
-                    out.x_positive = rng.gen_bool(0.5);
-                    out.y_positive = rng.gen_bool(0.5);
-                }
-                out
-            })
-            .collect()
+        Decoys { rng: StdRng::seed_from_u64(seed ^ 0x4a4d), p_lock }
+    }
+}
+
+/// The jammer's seeded per-frame stream.
+struct Decoys {
+    rng: StdRng,
+    p_lock: f64,
+}
+
+impl Decoys {
+    /// Draws whether this frame locks onto a decoy and, if so, the decoy's
+    /// readings.
+    fn frame(
+        &mut self,
+        fx_hz: &mut f64,
+        fy_hz: &mut f64,
+        x_positive: &mut bool,
+        y_positive: &mut bool,
+    ) {
+        if self.rng.gen_bool(self.p_lock) {
+            // The attacker's peak picker locks onto a decoy tone.
+            *fx_hz = self.rng.gen_range(200.0..4000.0);
+            *fy_hz = self.rng.gen_range(200.0..4000.0);
+            *x_positive = self.rng.gen_bool(0.5);
+            *y_positive = self.rng.gen_bool(0.5);
+        }
     }
 }
 

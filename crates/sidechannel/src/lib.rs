@@ -7,6 +7,10 @@
 //!
 //! * [`record_emissions`] — turns a tool path into the noisy emission trace
 //!   an attacker captures, at selectable [`CaptureQuality`];
+//! * [`record_power`] — the mains-side power trace of the same print, the
+//!   defender's dual of the acoustic channel;
+//! * [`CapturePlan`] — the seed-free half of both captures, planned once
+//!   per tool path and replayed for every seeded capture;
 //! * [`reconstruct_toolpath`] — the attacker's dead-reckoning
 //!   reconstruction, with [`compare_toolpaths`] quantifying its error;
 //! * [`NoiseEmitter`] — the defender's active countermeasure (Table 1's
@@ -25,8 +29,15 @@
 
 mod emission;
 mod jamming;
+mod plan;
+mod power;
 mod reconstruct;
 
 pub use emission::{record_emissions, CaptureQuality, EmissionFrame, STEPS_PER_MM};
 pub use jamming::NoiseEmitter;
+pub use plan::{CapturePlan, EmissionDraw, PlannedFrame};
+pub use power::{
+    record_power, PowerSample, ACCEL_JOULES_PER_MM_S, AXIS_WATTS_PER_MM_S, EXTRUDE_WATTS,
+    IDLE_WATTS,
+};
 pub use reconstruct::{compare_toolpaths, reconstruct_toolpath, ReconstructionReport};
