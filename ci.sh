@@ -20,9 +20,9 @@
 #    stego-sanitization job are served on BOTH wire codecs with
 #    `--verify`, which byte-compares every served report against an
 #    in-process `am-detect` run of the same spec
-# 4. chaos stage (hardened under the epoll reactor): a
-#    daemon on a Unix socket — explicitly `--backend reactor` — with
-#    deterministic fault injection (`--chaos-seed`), a 1 MiB cache to
+# 4. chaos stage (hardened under the epoll reactor): a daemon on a
+#    Unix socket with deterministic fault injection
+#    (`--chaos-seed`), a 1 MiB cache to
 #    force constant eviction, and a persistent spill tier. A
 #    byte-verified load runs through the chaos; then a second load (on
 #    the negotiated binary codec) is fired, the daemon is KILLED (-9)
@@ -93,7 +93,7 @@ wait "$SERVE_PID"
 CHAOS_SOCK=target/chaos.sock
 CHAOS_SPILL=target/chaos-spill
 rm -rf "$CHAOS_SPILL" "$CHAOS_SOCK"
-./target/release/obfuscade serve --uds "$CHAOS_SOCK" --addr 127.0.0.1:0 --backend reactor \
+./target/release/obfuscade serve --uds "$CHAOS_SOCK" --addr 127.0.0.1:0 \
     --workers 2 --cache-mb 1 --chaos-seed 7 --spill-dir "$CHAOS_SPILL" &
 CHAOS_PID=$!
 # Byte-verified load straight through the injected faults (connection
@@ -118,7 +118,7 @@ wait "$CHAOS_PID" 2>/dev/null || true
     --codec binary &
 LOAD_PID=$!
 sleep 0.2
-./target/release/obfuscade serve --uds "$CHAOS_SOCK" --addr 127.0.0.1:0 --backend reactor \
+./target/release/obfuscade serve --uds "$CHAOS_SOCK" --addr 127.0.0.1:0 \
     --workers 2 --cache-mb 1 --chaos-seed 7 --spill-dir "$CHAOS_SPILL" &
 CHAOS_PID=$!
 wait "$LOAD_PID" || { echo "ci: chaos load did not survive the kill+restart" >&2; exit 1; }

@@ -74,6 +74,8 @@ COMMANDS:
     serve          run the obfuscation daemon: a length-prefixed JSON protocol
                    over TCP (and a Unix socket with --uds), jobs dispatched onto
                    the batch engine behind a bounded queue and one shared cache
+                   (Linux only, like route: one epoll event loop serves every
+                   connection)
                      [--addr HOST:PORT]         listen address (default 127.0.0.1:7777;
                                                 port 0 picks a free port)
                      [--uds PATH]               also listen on a Unix-domain socket
@@ -92,13 +94,10 @@ COMMANDS:
                                                 seeded connection drops, slow/short
                                                 reads, worker panics, spill-write
                                                 failures
-                     [--backend B]              connection layer: reactor (epoll
-                                                event loop, Linux default) | threads
-                                                (one thread per connection)
                      [--json-only]              refuse binary codec negotiation:
                                                 binary hellos get a typed bad_codec
                                                 error and the connection stays JSON
-                     [--idle-timeout-s S]       reactor: drop connections idle for S
+                     [--idle-timeout-s S]       drop connections idle for S
                                                 seconds (default 60; also the
                                                 slow-loris partial-frame bound)
                      [--node NAME]              node name surfaced in stats snapshots
@@ -123,7 +122,6 @@ COMMANDS:
                                                 over (default 4)
                      [--workers N]              forwarding workers (default 8)
                      [--queue N]                front queue capacity (default 64)
-                     [--backend B]              front connection layer (reactor|threads)
                      [--json-only]              refuse binary negotiation on the front
                      [--allow-remote-shutdown]  honor wire shutdown from non-local peers
                      [--port-file FILE]         write the bound front address to FILE
@@ -558,7 +556,7 @@ pub fn audit(args: &[String]) -> CliResult {
 
 /// `obfuscade report` — regenerate paper artifacts.
 pub fn report(args: &[String]) -> CliResult {
-    use obfuscade_bench::experiments as e;
+    use crate::experiments as e;
     let (positional, flags) = parse_flags(args, &["replicates"])?;
     let which = positional.first().map(String::as_str).unwrap_or("all");
     let replicates = replicates_flag(&flags, 3)?;
@@ -789,7 +787,7 @@ pub fn serve(args: &[String]) -> CliResult {
         args,
         &[
             "addr", "uds", "workers", "queue", "cache-mb", "allow-remote-shutdown", "port-file",
-            "spill-dir", "chaos-seed", "backend", "json-only", "idle-timeout-s", "node",
+            "spill-dir", "chaos-seed", "json-only", "idle-timeout-s", "node",
         ],
     )?;
     if let Some(extra) = positional.first() {
@@ -812,10 +810,6 @@ pub fn serve(args: &[String]) -> CliResult {
         allow_remote_shutdown: flags.contains_key("allow-remote-shutdown"),
         spill_dir: flags.get("spill-dir").map(std::path::PathBuf::from),
         chaos: u64_flag(&flags, "chaos-seed")?.map(am_service::ChaosPlan::from_seed),
-        backend: match flags.get("backend") {
-            Some(name) => am_service::ConnBackend::from_name(name)?,
-            None => defaults.backend,
-        },
         json_only: flags.contains_key("json-only"),
         idle_timeout: match u64_flag(&flags, "idle-timeout-s")? {
             Some(secs) => std::time::Duration::from_secs(secs.max(1)),
@@ -826,13 +820,11 @@ pub fn serve(args: &[String]) -> CliResult {
     };
     let workers = config.workers;
     let queue = config.queue_capacity;
-    let backend = config.backend.name();
     let uds = config.unix_socket.clone();
     let server = Server::start(config).map_err(|e| format!("serve: {e}"))?;
     let addr = server.addr().to_string();
     println!(
-        "obfuscade daemon listening on {addr}{} ({workers} workers, queue {queue}, \
-         {backend} backend)",
+        "obfuscade daemon listening on {addr}{} ({workers} workers, queue {queue})",
         match &uds {
             Some(path) => format!(" and {}", path.display()),
             None => String::new(),
@@ -872,8 +864,7 @@ pub fn route(args: &[String]) -> CliResult {
         args,
         &[
             "to", "addr", "uds", "policy", "conns", "fail-threshold", "probe-every", "retries",
-            "workers", "queue", "allow-remote-shutdown", "backend", "json-only", "port-file",
-            "node",
+            "workers", "queue", "allow-remote-shutdown", "json-only", "port-file", "node",
         ],
     )?;
     if let Some(extra) = positional.first() {
@@ -899,10 +890,6 @@ pub fn route(args: &[String]) -> CliResult {
             workers: usize_flag(&flags, "workers", 8)?.max(1),
             queue_capacity: usize_flag(&flags, "queue", front_defaults.queue_capacity)?.max(1),
             allow_remote_shutdown: flags.contains_key("allow-remote-shutdown"),
-            backend: match flags.get("backend") {
-                Some(name) => am_service::ConnBackend::from_name(name)?,
-                None => front_defaults.backend,
-            },
             json_only: flags.contains_key("json-only"),
             node: flags.get("node").cloned().unwrap_or_default(),
             ..front_defaults
@@ -1368,6 +1355,14 @@ mod tests {
                 command(&["--cache-mbs".into(), "1".into(), "extra".into()]).expect_err(name);
             assert!(err.starts_with("unknown flag `--cache-mbs`"), "{name}: {err}");
         }
+        // The retired connection-backend choice fails like a typo, so a
+        // stale script gets the typed error instead of a silent default.
+        let retired: [(&str, Command, &str); 2] =
+            [("serve", serve, "reactor"), ("route", route, "threads")];
+        for (name, command, value) in retired {
+            let err = command(&["--backend".into(), value.into(), "extra".into()]).expect_err(name);
+            assert!(err.starts_with("unknown flag `--backend`"), "{name}: {err}");
+        }
         let err = audit(&["--json".into()]).unwrap_err();
         assert!(err.contains("takes no flags"), "{err}");
     }
@@ -1392,7 +1387,7 @@ mod tests {
         // ci.sh, the README quickstarts and the verify notes.
         only_bogus_rejected(
             serve,
-            &["--backend", "reactor", "--chaos-seed", "7", "--spill-dir", "spill", "extra"],
+            &["--chaos-seed", "7", "--spill-dir", "spill", "extra"],
         );
         only_bogus_rejected(route, &["--workers", "4", "--policy", "round-robin", "extra"]);
         only_bogus_rejected(

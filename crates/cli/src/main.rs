@@ -22,6 +22,7 @@
 use std::process::ExitCode;
 
 mod commands;
+mod experiments;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -61,9 +61,9 @@ pub struct BatchJob<'a> {
 ///
 /// Results come back in input order, one per job, each exactly what the
 /// corresponding independent [`run_pipeline_with_faults`] call returns.
-/// Inside the batch every plan's own thread budget is overridden to
-/// serial — parallelism comes from fanning *across* jobs instead, and the
-/// determinism contract makes the switch unobservable in the output.
+/// `parallelism` is the only thread budget: it fans the jobs (and the
+/// prefix warm-up) across the pool, while every stage kernel inside a
+/// job runs serially.
 ///
 /// Errors never enter the [`StageCache`] (it outlives the batch and a
 /// cached error could mask a later code change), but they are not
@@ -103,14 +103,6 @@ pub fn run_pipeline_jobs_with(
     parallelism: Parallelism,
     deadline: Deadline,
 ) -> Vec<Result<PipelineOutput, PipelineError>> {
-    let jobs: Vec<BatchJob<'_>> = jobs
-        .iter()
-        .map(|job| BatchJob {
-            part: job.part,
-            plan: job.plan.clone().with_parallelism(Parallelism::serial()),
-            faults: job.faults.clone(),
-        })
-        .collect();
     let keys: Vec<PlanKeys> = jobs
         .iter()
         .map(|job| plan_keys(job.part, &job.plan, &job.faults))

@@ -33,10 +33,10 @@
 //!
 //! # Determinism contract
 //!
-//! [`am_par::Parallelism`] is deliberately **excluded** from every key:
-//! PR 2's contract makes every thread budget bit-identical, so a cached
-//! artifact is exactly the artifact any budget would recompute. Canonical
-//! encoding is field-by-field: floats hash their IEEE-754 bits
+//! The batch engine's thread budget ([`am_par::Parallelism`]) is not an
+//! input of any key: it decides which jobs run side by side, never what
+//! a stage computes (DESIGN.md §8). Canonical encoding is
+//! field-by-field: floats hash their IEEE-754 bits
 //! (`f64::to_bits`), enums hash an explicit discriminant byte, sequences
 //! are length-prefixed, and every structured input (part recipe, slicer
 //! config, printer profile) is absorbed by a visitor that writes each

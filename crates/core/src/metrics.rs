@@ -134,9 +134,6 @@ pub struct ServiceStats {
     pub worker_panics: u64,
     /// Worker threads respawned by the supervisor after a panic.
     pub respawns: u64,
-    /// Connection backend serving this daemon (`"threads"` or
-    /// `"reactor"`; empty in snapshots not taken by a daemon).
-    pub backend: &'static str,
     /// Request frames decoded under the JSON codec.
     pub frames_json: u64,
     /// Request frames decoded under the negotiated binary codec.
@@ -226,7 +223,6 @@ impl MetricsSnapshot {
                 ("expired_deadlines".into(), Json::u64(s.expired_deadlines)),
                 ("worker_panics".into(), Json::u64(s.worker_panics)),
                 ("respawns".into(), Json::u64(s.respawns)),
-                ("backend".into(), Json::String(s.backend.to_string())),
                 ("node".into(), Json::String(s.node.clone())),
                 ("frames_json".into(), Json::u64(s.frames_json)),
                 ("frames_binary".into(), Json::u64(s.frames_binary)),
@@ -309,18 +305,12 @@ impl MetricsSnapshot {
                 s.rejected_overloaded,
                 s.expired_deadlines
             );
-            if !s.backend.is_empty() {
-                let _ = writeln!(
-                    out,
-                    "wire:        {} backend; {} json + {} binary frames, {} binary conns, \
-                     {} backpressure stalls",
-                    s.backend,
-                    s.frames_json,
-                    s.frames_binary,
-                    s.binary_negotiated,
-                    s.backpressure_stalls
-                );
-            }
+            let _ = writeln!(
+                out,
+                "wire:        {} json + {} binary frames, {} binary conns, \
+                 {} backpressure stalls",
+                s.frames_json, s.frames_binary, s.binary_negotiated, s.backpressure_stalls
+            );
             if s.worker_panics > 0 || s.respawns > 0 {
                 let _ = writeln!(
                     out,
@@ -420,12 +410,12 @@ mod tests {
         let json = snapshot.to_json().render();
         assert!(json.contains("\"node\":\"node2\""), "{json}");
         assert!(json.contains("\"fleet\":{\"failovers\":3}"), "{json}");
-        // Node identity sits with the backend identity, before the
+        // Node identity sits after the supervision counters, before the
         // latency block.
-        let backend_at = json.find("\"backend\"").expect("backend");
+        let respawns_at = json.find("\"respawns\"").expect("respawns");
         let node_at = json.find("\"node\"").expect("node");
         let latency_at = json.find("\"latency_count\"").expect("latency_count");
-        assert!(backend_at < node_at && node_at < latency_at);
+        assert!(respawns_at < node_at && node_at < latency_at);
         assert!(snapshot.render().contains("node2"));
     }
 
@@ -455,10 +445,9 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_json_carries_backend_and_codec_counters() {
+    fn snapshot_json_carries_codec_counters() {
         let snapshot = MetricsSnapshot {
             service: Some(ServiceStats {
-                backend: "reactor",
                 frames_json: 3,
                 frames_binary: 12,
                 binary_negotiated: 2,
@@ -469,7 +458,6 @@ mod tests {
         };
         let json = snapshot.to_json().render();
         for field in [
-            "\"backend\":\"reactor\"",
             "\"frames_json\":3",
             "\"frames_binary\":12",
             "\"binary_negotiated\":2",
@@ -480,11 +468,11 @@ mod tests {
         // Stable order: the codec counters sit between the supervision
         // counters and the latency block.
         let respawns_at = json.find("\"respawns\"").expect("respawns");
-        let backend_at = json.find("\"backend\"").expect("backend");
+        let frames_at = json.find("\"frames_json\"").expect("frames_json");
         let latency_at = json.find("\"latency_count\"").expect("latency_count");
-        assert!(respawns_at < backend_at && backend_at < latency_at);
+        assert!(respawns_at < frames_at && frames_at < latency_at);
         let text = snapshot.render();
-        assert!(text.contains("reactor backend"), "{text}");
+        assert!(text.contains("12 binary frames"), "{text}");
         assert!(text.contains("backpressure"), "{text}");
     }
 

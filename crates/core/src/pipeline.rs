@@ -64,10 +64,6 @@ pub struct ProcessPlan {
     pub tensile: bool,
     /// Equilibrium solver for the tensile kernel.
     pub fea_solver: FeaSolver,
-    /// Thread budget for the parallel kernels (slicing, deposition, FEA
-    /// relaxation). Every budget produces bit-identical output; the default
-    /// is serial.
-    pub parallelism: Parallelism,
 }
 
 impl ProcessPlan {
@@ -82,7 +78,6 @@ impl ProcessPlan {
             seed: 1,
             tensile: false,
             fea_solver: FeaSolver::default(),
-            parallelism: Parallelism::serial(),
         }
     }
 
@@ -107,7 +102,6 @@ impl ProcessPlan {
             seed: 1,
             tensile: false,
             fea_solver: FeaSolver::default(),
-            parallelism: Parallelism::serial(),
         }
     }
 
@@ -120,12 +114,6 @@ impl ProcessPlan {
     /// Builder-style tensile-test toggle.
     pub fn with_tensile(mut self, tensile: bool) -> Self {
         self.tensile = tensile;
-        self
-    }
-
-    /// Builder-style thread-budget override.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
         self
     }
 
@@ -637,7 +625,7 @@ pub fn print_toolpath(
         &plan.printer,
         to_build,
         plan.seed,
-        plan.parallelism,
+        Parallelism::serial(),
     )
     .map_err(PipelineError::Print)?;
     printed.dissolve_support();
@@ -1126,7 +1114,7 @@ fn slice_stage(
         .map(|m| m.transformed(&bed_margin))
         .collect();
     let to_build = build_transform(&mesh.shells, plan.orientation).then(&bed_margin);
-    let sliced = try_slice_shells_with(&oriented, config.layer_height, plan.parallelism)
+    let sliced = try_slice_shells_with(&oriented, config.layer_height, Parallelism::serial())
         .map_err(PipelineError::Slice)?;
     let slice_report = diagnose_slices(&sliced, config.analysis_cell);
     let open_paths: usize = sliced.layers.iter().map(|l| l.open_paths.len()).sum();
@@ -1244,7 +1232,7 @@ fn tensile_stage(
     let mut lattice = Lattice::try_from_printed(&print.printed, &tensile_config, plan.seed)
         .map_err(PipelineError::Tensile)?;
     fea_solver_pool()
-        .run(&mut lattice, &tensile_config, plan.parallelism)
+        .run(&mut lattice, &tensile_config, Parallelism::serial())
         .map_err(PipelineError::Tensile)
 }
 

@@ -11,10 +11,11 @@
 //!   ([`try_slice_shells_with`]) at every thread budget in {1, 2, 4, 8}.
 //! * **Deposition.** The pipeline's own faulted, firmware-vetted tool path
 //!   ([`plan_toolpath`]) is deposited by the road-at-a-time reference
-//!   loop ([`PrintedPart::try_from_toolpath_reference`], then support
-//!   dissolution) and by the pipeline's deposition path
-//!   ([`print_toolpath`], the span-plan kernel) at every thread budget in
-//!   {1, 2, 4, 8}.
+//!   loop ([`PrintedPart::try_from_toolpath_reference`], the oracle), by
+//!   the pipeline's deposition path ([`print_toolpath`]), and by the
+//!   span-plan kernel it runs ([`PrintedPart::try_from_toolpath_planned`])
+//!   at every thread budget in {1, 2, 4, 8}, each followed by support
+//!   dissolution.
 //!
 //! Both checks compare complete `Debug` renderings. Rust prints `f64`s
 //! shortest-round-trip, so one ULP of drift anywhere in a contour, the
@@ -25,7 +26,7 @@ use am_cad::{BodyKind, MaterialRemoval, Part};
 use am_geom::Point3;
 use am_mesh::{tessellate_shells, Resolution};
 use am_par::Parallelism;
-use am_printer::PrintedPart;
+use am_printer::{PrintError, PrintedPart};
 use am_slicer::{
     orient_shells, slice_shells_scan, try_slice_shells_with, Orientation, SlicerConfig,
 };
@@ -34,10 +35,10 @@ use obfuscade::{
 };
 use proptest::prelude::*;
 
-/// Fault specs spanning the catalog's stages, plus the clean run — the
-/// same spread the thread-count determinism property uses. STL faults
-/// reshape the mesh the slicers cut; tool-path faults (duplicated and
-/// dropped roads) reshape the span plans the deposition kernel compiles.
+/// Fault specs spanning the catalog's stages, plus the clean run — a
+/// subset of `parallel_determinism.rs`'s spread. STL faults reshape the
+/// mesh the slicers cut; tool-path faults (duplicated and dropped roads)
+/// reshape the span plans the deposition kernel compiles.
 const FAULT_SPECS: &[&str] = &[
     "",
     "stl.degenerate=3",
@@ -54,6 +55,18 @@ fn fault_plan(spec: &str, seed: u64) -> FaultPlan {
     } else {
         spec.parse::<FaultPlan>().expect(spec).with_seed(seed)
     }
+}
+
+/// Renders a deposition result the way [`print_toolpath`] finishes one:
+/// support dissolved, errors wrapped as [`PipelineError::Print`].
+fn finish(printed: Result<PrintedPart, PrintError>) -> String {
+    let printed = printed
+        .map(|mut printed| {
+            printed.dissolve_support();
+            printed
+        })
+        .map_err(PipelineError::Print);
+    format!("{printed:?}")
 }
 
 proptest! {
@@ -104,29 +117,37 @@ proptest! {
             );
         }
 
-        // --- Deposition: reference loop vs the pipeline's print path ------
+        // --- Deposition: reference loop vs the span-plan kernel -----------
         // Specs whose faults abort the chain before a tool path exists
         // leave nothing to deposit.
         let cache = StageCache::default();
         if let Ok(planned) = plan_toolpath(&part, &plan, &faults, &cache, Deadline::none()) {
-            let oracle = PrintedPart::try_from_toolpath_reference(
+            let oracle = finish(PrintedPart::try_from_toolpath_reference(
                 &planned.toolpath,
                 &plan.printer,
                 planned.to_build,
                 plan.seed,
-            )
-            .map(|mut printed| {
-                printed.dissolve_support();
-                printed
-            })
-            .map_err(PipelineError::Print);
-            let oracle = format!("{oracle:?}");
+            ));
+            let served = print_toolpath(&planned.toolpath, &plan, planned.to_build);
+            prop_assert_eq!(
+                &oracle,
+                &format!("{served:?}"),
+                "the pipeline's print path diverged from the reference loop \
+                 (faults: {:?}, seed {})",
+                FAULT_SPECS[spec_idx],
+                fault_seed
+            );
             for threads in THREADS {
-                let plan = plan.clone().with_parallelism(Parallelism::threads(threads));
-                let printed = print_toolpath(&planned.toolpath, &plan, planned.to_build);
+                let printed = finish(PrintedPart::try_from_toolpath_planned(
+                    &planned.toolpath,
+                    &plan.printer,
+                    planned.to_build,
+                    plan.seed,
+                    Parallelism::threads(threads),
+                ));
                 prop_assert_eq!(
                     &oracle,
-                    &format!("{printed:?}"),
+                    &printed,
                     "span-plan deposition at {} thread(s) diverged from the reference \
                      loop (faults: {:?}, seed {})",
                     threads,

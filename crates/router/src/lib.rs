@@ -113,7 +113,8 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// An empty backend list, or any front-end bind failure. Backends
+    /// An empty backend list, or any front-end start failure (a bind
+    /// error, or `Unsupported` off Linux, see [`Server::start`]). Backends
     /// are *not* contacted here — connections are established lazily on
     /// the first job, so the fleet may boot in any order.
     pub fn start(config: RouterConfig) -> io::Result<Router> {

@@ -11,18 +11,18 @@
 //! pipeline stages, so nothing half-computed is ever cached), and
 //! drain-then-stop graceful shutdown.
 //!
-//! Connections are served by one of two interchangeable backends
-//! ([`ConnBackend`]): a non-blocking epoll **reactor** (the Linux
-//! default — one event-loop thread multiplexing every socket, with
+//! Connections are served by a non-blocking epoll **reactor**
+//! ([`reactor`]): one event-loop thread multiplexing every socket, with
 //! per-connection reassembly buffers, write backpressure, and
-//! idle/slow-loris timeouts; built on the vendored `am-reactor` syscall
-//! shim so this crate stays `forbid(unsafe_code)`) and the original
-//! **thread-per-connection** backend, kept as the differential oracle.
+//! idle/slow-loris timeouts, built on the vendored `am-reactor` syscall
+//! shim so this crate stays `forbid(unsafe_code)`. The daemon (and the
+//! router built on it) runs on Linux only; elsewhere [`Server::start`]
+//! returns an `Unsupported` error, and the client still compiles.
 //!
 //! The determinism contract carries over the wire: a served batch
-//! renders byte-identically to the same batch run in-process — on
-//! either backend, under either codec — which the `wire_equivalence`
-//! suite and the load generator both enforce.
+//! renders byte-identically to the same batch run in-process — under
+//! either codec — which the `wire_equivalence` suite and the load
+//! generator both enforce.
 //!
 //! # Example
 //!
@@ -56,4 +56,4 @@ pub use protocol::{
     encode_detect_outcome, encode_outcome, encode_sanitize_outcome, read_frame, write_frame,
     DetectSpec, JobSpec, Request, RequestBody, Response, SanitizeSpec, ServiceError, MAX_FRAME,
 };
-pub use server::{ChaosPlan, ConnBackend, Engine, Forwarder, Server, ServerConfig};
+pub use server::{ChaosPlan, Engine, Forwarder, Server, ServerConfig};

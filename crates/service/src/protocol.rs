@@ -259,8 +259,7 @@ impl JobSpec {
         .map_err(|e| e.to_string())
     }
 
-    /// The process plan the spec describes. Thread budget is left serial —
-    /// the batch engine parallelises across jobs, not within them.
+    /// The process plan the spec describes.
     pub fn plan(&self) -> ProcessPlan {
         let mut plan = ProcessPlan::fdm(self.resolution, self.orientation)
             .with_seed(self.seed)

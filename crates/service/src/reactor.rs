@@ -1,15 +1,11 @@
-//! The epoll connection backend: one reactor thread multiplexing every
+//! The daemon's connection layer: one reactor thread multiplexing every
 //! client socket (TCP and Unix-domain) through [`am_reactor::Poller`].
 //!
-//! Where the thread backend spends two OS threads per connection (a
-//! reader and a writer), the reactor runs per-connection **state
-//! machines**: each
-//! `Conn` owns a read buffer that reassembles partial frames, a write
-//! buffer with an explicit send offset, and a pending-job count. All
-//! protocol logic is shared with the thread backend through
-//! [`process_frame`](crate::server), so the two backends serve
-//! byte-identical responses — the wire-equivalence suite holds across
-//! both.
+//! The reactor runs per-connection **state machines**: each `Conn` owns
+//! a read buffer that reassembles partial frames, a write buffer with an
+//! explicit send offset, and a pending-job count. Every complete frame
+//! goes through the server's one protocol path,
+//! [`process_frame`](crate::server).
 //!
 //! Mechanics worth naming:
 //!
@@ -31,8 +27,9 @@
 //!   after [`ServerConfig::idle_timeout`](crate::ServerConfig), unless
 //!   its jobs are still in flight.
 //!
-//! Off Linux the module is a stub whose `spawn` reports `Unsupported`;
-//! [`ConnBackend::Threads`](crate::ConnBackend) remains available there.
+//! The daemon runs on Linux only. Elsewhere the module is a stub whose
+//! `spawn` reports `Unsupported`, so [`Server::start`](crate::Server::start)
+//! fails there while the rest of the toolchain still compiles.
 
 #[cfg(target_os = "linux")]
 mod imp {
@@ -77,8 +74,7 @@ mod imp {
     /// How long the reactor keeps serving **existing** connections after
     /// the daemon stopped (listeners closed, admission refused with
     /// typed `shutting_down` errors) so peers can read their final
-    /// responses — matching the thread backend, whose connection threads
-    /// outlive the drain. Exits early once every peer hangs up.
+    /// responses. Exits early once every peer hangs up.
     const LINGER: Duration = Duration::from_secs(1);
 
     /// Worker-to-reactor completion channel: finished jobs' encoded
@@ -219,8 +215,8 @@ mod imp {
             poller.register(unix.as_raw_fd(), TOK_UNIX, Interest::Read)?;
         }
         poller.register(waker_rx.as_raw_fd(), TOK_WAKER, Interest::Read)?;
-        // Prove epoll works before committing to the backend: an empty
-        // wait on a fresh instance must time out cleanly.
+        // Prove epoll works before starting the daemon: an empty wait on
+        // a fresh instance must time out cleanly.
         poller.wait(Some(Duration::ZERO))?;
         Ok(thread::spawn(move || {
             event_loop(&shared, poller, &listener, unix.as_ref(), &hub, &waker_rx);
@@ -428,9 +424,8 @@ mod imp {
     }
 
     /// Drains the socket until `WouldBlock`/EOF, then parses and
-    /// dispatches every complete frame. Chaos faults mirror the thread
-    /// backend's `ChaosReader`: an occasional ~1 ms stall and 1-byte
-    /// read window per read decision.
+    /// dispatches every complete frame. Chaos faults strike per read
+    /// decision: an occasional ~1 ms stall and a 1-byte read window.
     fn pump_read(shared: &Arc<Shared>, hub: &Arc<Hub>, token: u64, conn: &mut Conn) -> Pump {
         let mut chunk = [0u8; READ_CHUNK];
         loop {
@@ -476,7 +471,7 @@ mod imp {
             }
             let frame = &buf[consumed + 4..consumed + 4 + len];
             consumed += 4 + len;
-            let sink = |codec| ReplySink::Reactor { conn: token, hub: Arc::clone(hub), codec };
+            let sink = |codec| ReplySink { conn: token, hub: Arc::clone(hub), codec };
             match process_frame(shared, &mut conn.proto, frame, conn.local_peer, &sink) {
                 FrameOutcome::Reply(payload) => queue_frame(conn, &payload),
                 FrameOutcome::Queued => conn.pending += 1,
@@ -557,7 +552,8 @@ mod imp {
         pub(crate) fn push(&self, _conn: u64, _payload: Vec<u8>) {}
     }
 
-    /// Off-Linux stub: selecting the reactor backend is a start error.
+    /// Off-Linux stub: the daemon is Linux-only, so starting it is an
+    /// error.
     pub(crate) fn spawn(
         _shared: Arc<Shared>,
         _listener: TcpListener,
@@ -565,7 +561,7 @@ mod imp {
     ) -> io::Result<JoinHandle<()>> {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
-            "the reactor backend requires Linux epoll; use ConnBackend::Threads",
+            "the obfuscade daemon runs on Linux only (its connection layer is epoll)",
         ))
     }
 }

@@ -1,10 +1,13 @@
-//! The obfuscation daemon: acceptor threads feed per-connection reader
-//! threads, which either answer control requests inline (`ping`,
-//! `stats`, `shutdown`) or push job requests onto one bounded queue that
-//! a fixed pool of worker threads drains. All connections share a single
-//! process-wide [`StageCache`] (and, through it, the fea crate's solver
-//! pool), so repeated requests for the same stage prefixes are served
-//! from cache across clients.
+//! The obfuscation daemon: one epoll reactor thread
+//! ([`crate::reactor`]) serves every connection, answering control
+//! requests inline (`ping`, `stats`, `shutdown`) and pushing job requests
+//! onto one bounded queue that a fixed pool of worker threads drains.
+//! All connections share a single process-wide [`StageCache`] (and,
+//! through it, the fea crate's solver pool), so repeated requests for the
+//! same stage prefixes are served from cache across clients.
+//!
+//! The daemon runs on Linux only: elsewhere [`Server::start`] fails with
+//! [`io::ErrorKind::Unsupported`].
 //!
 //! # Admission control and shutdown
 //!
@@ -44,7 +47,7 @@
 //! exactly.
 
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -63,8 +66,8 @@ use obfuscade::{
 
 use crate::codec::{decode_hello, encode_hello, is_binary_hello, Codec, BINARY_VERSION};
 use crate::protocol::{
-    encode_detect_outcome, encode_outcome, encode_sanitize_outcome, read_frame, write_frame,
-    DetectSpec, JobSpec, RequestBody, Response, SanitizeSpec, ServiceError,
+    encode_detect_outcome, encode_outcome, encode_sanitize_outcome, DetectSpec, JobSpec,
+    RequestBody, Response, SanitizeSpec, ServiceError,
 };
 use crate::reactor;
 
@@ -74,10 +77,6 @@ pub(crate) const RUNNING: u8 = 0;
 const DRAINING: u8 = 1;
 /// Stopped: drain complete, listeners closing, workers exited.
 pub(crate) const STOPPED: u8 = 2;
-
-/// How long acceptors sleep between polls of their non-blocking
-/// listeners (std has no accept-with-timeout).
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Deterministic fault-injection plan: every chaos decision is a pure
 /// function of the seed, the site name and a per-site ordinal, so a run
@@ -171,59 +170,10 @@ impl ChaosState {
     }
 }
 
-/// Which connection layer the daemon runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnBackend {
-    /// One OS thread per connection (the PR 5 design, retained as the
-    /// oracle the reactor is byte-compared against). Caps concurrent
-    /// clients at thread count; works on every platform.
-    Threads,
-    /// One non-blocking reactor thread multiplexing every socket through
-    /// epoll ([`am_reactor::Poller`]): per-connection state machines with
-    /// partial-frame reassembly, write backpressure and idle/slow-loris
-    /// timeouts. Linux only.
-    Reactor,
-}
-
-impl ConnBackend {
-    /// Stable lowercase name (CLI flag value, metrics field).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ConnBackend::Threads => "threads",
-            ConnBackend::Reactor => "reactor",
-        }
-    }
-
-    /// Parses a CLI flag value.
-    ///
-    /// # Errors
-    ///
-    /// The unknown name.
-    pub fn from_name(name: &str) -> Result<ConnBackend, String> {
-        match name {
-            "threads" => Ok(ConnBackend::Threads),
-            "reactor" => Ok(ConnBackend::Reactor),
-            other => Err(format!("unknown backend `{other}` (threads|reactor)")),
-        }
-    }
-}
-
-impl Default for ConnBackend {
-    /// The reactor where it exists (Linux), threads elsewhere.
-    fn default() -> Self {
-        if cfg!(target_os = "linux") {
-            ConnBackend::Reactor
-        } else {
-            ConnBackend::Threads
-        }
-    }
-}
-
 /// Where admitted jobs are executed: in-process (the daemon proper) or
 /// handed to a [`Forwarder`] (the router tier). Everything in front of
-/// the engine — both connection backends, both codecs, admission
-/// control, the queue, stats — is shared; only the execution step
-/// differs.
+/// the engine — the reactor, both codecs, admission control, the queue,
+/// stats — is shared; only the execution step differs.
 #[derive(Clone, Default)]
 pub enum Engine {
     /// Run jobs against this process's shared [`StageCache`] (default).
@@ -274,19 +224,13 @@ pub struct ServerConfig {
     /// TCP bind address; port 0 picks a free port (read it back with
     /// [`Server::addr`]).
     pub addr: String,
-    /// Optional Unix-domain socket path to listen on as well
-    /// (Unix only; `Some` on other platforms is a start error).
+    /// Optional Unix-domain socket path to listen on as well.
     pub unix_socket: Option<PathBuf>,
     /// Worker threads draining the job queue.
     pub workers: usize,
     /// Bounded job-queue capacity; a full queue rejects with
     /// `overloaded`.
     pub queue_capacity: usize,
-    /// Thread budget *within* one batch request. Serial by default —
-    /// concurrency comes from the worker pool fanning across requests,
-    /// and the determinism contract makes the choice unobservable in
-    /// responses.
-    pub parallelism: Parallelism,
     /// Byte budget of the shared stage cache.
     pub cache_budget: usize,
     /// Honor wire `shutdown` from non-local peers. **Off by default**:
@@ -300,15 +244,12 @@ pub struct ServerConfig {
     pub spill_dir: Option<PathBuf>,
     /// Deterministic fault injection; `None` (the default) runs clean.
     pub chaos: Option<ChaosPlan>,
-    /// Connection layer: the epoll reactor (default on Linux) or the
-    /// thread-per-connection oracle.
-    pub backend: ConnBackend,
     /// Refuse binary codec negotiation: a binary hello gets a typed
     /// `bad_codec` error and the connection stays JSON. Off by default
     /// (the daemon speaks both; clients that never negotiate stay JSON
     /// regardless).
     pub json_only: bool,
-    /// Reactor-only: a connection that makes no progress for this long —
+    /// A connection that makes no progress for this long —
     /// no bytes read or written, nothing in flight — is closed. Also the
     /// slow-loris bound: a peer dribbling a partial frame must finish it
     /// within this window.
@@ -328,12 +269,10 @@ impl Default for ServerConfig {
             unix_socket: None,
             workers: 2,
             queue_capacity: 64,
-            parallelism: Parallelism::serial(),
             cache_budget: StageCache::DEFAULT_BUDGET,
             allow_remote_shutdown: false,
             spill_dir: None,
             chaos: None,
-            backend: ConnBackend::default(),
             json_only: false,
             idle_timeout: Duration::from_secs(60),
             node: String::new(),
@@ -342,40 +281,23 @@ impl Default for ServerConfig {
     }
 }
 
-/// Where a worker's response goes, and in which codec. Both backends
-/// admit jobs through the same queue; only the delivery route differs.
+/// Where a worker's response goes: the reactor's completion hub, the
+/// connection it is for, and the codec that connection settled on.
 #[derive(Clone)]
-pub(crate) enum ReplySink {
-    /// Thread backend: the connection's writer-thread channel.
-    Channel {
-        /// Encoded frame payloads for the writer thread.
-        tx: Sender<Vec<u8>>,
-        /// The connection's negotiated codec.
-        codec: Codec,
-    },
-    /// Reactor backend: the reactor's completion hub plus the connection
-    /// token the response is for.
-    Reactor {
-        /// Connection token inside the reactor.
-        conn: u64,
-        /// Completion queue + waker shared with the reactor thread.
-        hub: Arc<reactor::Hub>,
-        /// The connection's negotiated codec.
-        codec: Codec,
-    },
+pub(crate) struct ReplySink {
+    /// Connection token inside the reactor.
+    pub(crate) conn: u64,
+    /// Completion queue + waker shared with the reactor thread.
+    pub(crate) hub: Arc<reactor::Hub>,
+    /// The connection's negotiated codec.
+    pub(crate) codec: Codec,
 }
 
 impl ReplySink {
-    /// Encodes `response` under the connection's codec and routes it.
+    /// Encodes `response` under the connection's codec and hands it to
+    /// the reactor.
     pub(crate) fn send(&self, response: &Response) {
-        match self {
-            ReplySink::Channel { tx, codec } => {
-                let _ = tx.send(codec.encode_response(response));
-            }
-            ReplySink::Reactor { conn, hub, codec } => {
-                hub.push(*conn, codec.encode_response(response));
-            }
-        }
+        self.hub.push(self.conn, self.codec.encode_response(response));
     }
 }
 
@@ -401,14 +323,12 @@ enum Work {
     Sanitize(Vec<SanitizeSpec>),
 }
 
-/// State shared by acceptors, connection readers and workers.
+/// State shared by the reactor and the workers.
 pub(crate) struct Shared {
     cache: StageCache,
-    parallelism: Parallelism,
     workers: usize,
     queue_capacity: usize,
     allow_remote_shutdown: bool,
-    backend: ConnBackend,
     json_only: bool,
     node: String,
     engine: Engine,
@@ -466,8 +386,7 @@ impl Shared {
     }
 
     /// Chaos decision for one socket read: `(stall, chop)`. `(false,
-    /// false)` when the daemon runs clean. Both backends consult this so
-    /// a given seed injects the same fault mix regardless of backend.
+    /// false)` when the daemon runs clean.
     pub(crate) fn chaos_read_fault(&self) -> (bool, bool) {
         match &self.chaos {
             Some(chaos) => chaos.read_fault(),
@@ -493,7 +412,6 @@ impl Shared {
             expired_deadlines: self.expired.load(Ordering::SeqCst),
             worker_panics: self.worker_panics.load(Ordering::SeqCst),
             respawns: self.respawns.load(Ordering::SeqCst),
-            backend: self.backend.name(),
             frames_json: self.frames_json.load(Ordering::SeqCst),
             frames_binary: self.frames_binary.load(Ordering::SeqCst),
             binary_negotiated: self.binary_negotiated.load(Ordering::SeqCst),
@@ -514,13 +432,13 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listeners and spawns acceptor, worker and supervisor
+    /// Binds the listeners and spawns the reactor, worker and supervisor
     /// threads (and opens the spill tier, when configured).
     ///
     /// # Errors
     ///
-    /// Bind/configuration failures, a `unix_socket` path on a non-Unix
-    /// platform, or an unusable `spill_dir`.
+    /// Bind/configuration failures, an unusable `spill_dir`, or
+    /// [`io::ErrorKind::Unsupported`] on any platform but Linux.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
@@ -545,11 +463,9 @@ impl Server {
 
         let shared = Arc::new(Shared {
             cache,
-            parallelism: config.parallelism,
             workers: config.workers.max(1),
             queue_capacity: config.queue_capacity.max(1),
             allow_remote_shutdown: config.allow_remote_shutdown,
-            backend: config.backend,
             json_only: config.json_only,
             node: config.node.clone(),
             engine: config.engine.clone(),
@@ -576,25 +492,7 @@ impl Server {
             supervisor: Mutex::new(None),
         });
 
-        let mut threads = Vec::new();
-        match config.backend {
-            ConnBackend::Threads => {
-                {
-                    let shared = Arc::clone(&shared);
-                    threads.push(thread::spawn(move || tcp_acceptor(shared, listener)));
-                }
-                if let Some(path) = config.unix_socket.clone() {
-                    threads.push(unix_acceptor_thread(Arc::clone(&shared), path)?);
-                }
-            }
-            ConnBackend::Reactor => {
-                threads.push(reactor::spawn(
-                    Arc::clone(&shared),
-                    listener,
-                    config.unix_socket.clone(),
-                )?);
-            }
-        }
+        let mut threads = vec![reactor::spawn(Arc::clone(&shared), listener, config.unix_socket)?];
 
         let (tx, rx) = mpsc::channel::<SupervisorMsg>();
         *lock(&shared.supervisor) = Some(tx);
@@ -626,7 +524,7 @@ impl Server {
         drain(&self.shared);
     }
 
-    /// Waits for every acceptor, supervisor and worker thread to exit.
+    /// Waits for the reactor, supervisor and every worker thread to exit.
     /// Returns only after a shutdown (wire or [`Server::begin_shutdown`])
     /// completed.
     pub fn join(self) {
@@ -861,7 +759,7 @@ fn run_specs(
         .zip(faults.iter())
         .map(|((spec, part), fault)| BatchJob { part, plan: spec.plan(), faults: fault.clone() })
         .collect();
-    let outcomes = run_pipeline_jobs_with(&jobs, &shared.cache, shared.parallelism, deadline);
+    let outcomes = run_pipeline_jobs_with(&jobs, &shared.cache, Parallelism::serial(), deadline);
     if outcomes
         .iter()
         .any(|o| matches!(o, Err(PipelineError::DeadlineExceeded { .. })))
@@ -1001,8 +899,8 @@ fn admit(shared: &Arc<Shared>, id: u64, work: Work, deadline_ms: Option<u64>, re
     shared.queue_cv.notify_one();
 }
 
-/// Per-connection protocol state shared by both backends: the codec is
-/// undetermined until the first frame arrives (binary hello → binary,
+/// Per-connection protocol state: the codec is undetermined until the
+/// first frame arrives (binary hello → binary,
 /// anything else → JSON, permanently).
 pub(crate) struct ConnProto {
     codec: Option<Codec>,
@@ -1029,10 +927,9 @@ pub(crate) enum FrameOutcome {
     Queued,
 }
 
-/// One inbound frame through negotiation + dispatch — the single
-/// protocol path both backends share. `sink` builds the backend's reply
-/// route for the connection's (just-settled) codec; it is only invoked
-/// for queueable requests.
+/// One inbound frame through negotiation + dispatch. `sink` builds the
+/// reply route for the connection's (just-settled) codec; it is only
+/// invoked for queueable requests.
 ///
 /// Control requests (`ping`, `stats`, `shutdown`) are answered inline;
 /// `shutdown` from an authorised peer blocks the calling thread in
@@ -1123,154 +1020,11 @@ pub(crate) fn process_frame(
     FrameOutcome::Reply(codec.encode_response(&inline))
 }
 
-/// Per-connection protocol loop (thread backend): a writer thread
-/// serialises all frames for the connection (workers reply through the
-/// same channel), the calling thread reads and dispatches requests until
-/// EOF or shutdown.
-///
-/// `local_peer` records whether the connection arrived over the Unix
-/// socket or from a loopback TCP address; non-local peers may only issue
-/// `shutdown` when the server was configured with `allow_remote_shutdown`.
-fn handle_connection<R, W>(shared: Arc<Shared>, mut reader: R, writer: W, local_peer: bool)
-where
-    R: Read,
-    W: Write + Send + 'static,
-{
-    let (reply, frames) = mpsc::channel::<Vec<u8>>();
-    let writer_thread = thread::spawn(move || {
-        let mut writer = writer;
-        for frame in frames {
-            if write_frame(&mut writer, &frame).is_err() {
-                break;
-            }
-        }
-    });
-
-    let mut proto = ConnProto::new();
-    while let Ok(Some(frame)) = read_frame(&mut reader) {
-        let sink = |codec| ReplySink::Channel { tx: reply.clone(), codec };
-        match process_frame(&shared, &mut proto, &frame, local_peer, &sink) {
-            FrameOutcome::Reply(payload) => {
-                let _ = reply.send(payload);
-            }
-            FrameOutcome::Queued => {}
-        }
-    }
-
-    drop(reply);
-    let _ = writer_thread.join();
-}
-
-/// A `Read` wrapper that injects deterministic chaos into the
-/// connection's byte stream: occasional ~1 ms stalls and 1-byte short
-/// reads. `read_frame` reassembles via `read_exact`, so chopped reads
-/// must still yield byte-identical frames — that is exactly the
-/// robustness property the chaos layer exists to exercise.
-struct ChaosReader<R> {
-    inner: R,
-    shared: Arc<Shared>,
-}
-
-impl<R: Read> Read for ChaosReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if let Some(chaos) = &self.shared.chaos {
-            let (stall, chop) = chaos.read_fault();
-            if stall {
-                thread::sleep(Duration::from_millis(1));
-            }
-            if chop && buf.len() > 1 {
-                return self.inner.read(&mut buf[..1]);
-            }
-        }
-        self.inner.read(buf)
-    }
-}
-
 /// Chaos accept gate: `true` means this freshly accepted connection
 /// should be dropped on the floor (the client sees an immediate EOF and
 /// owns the retry).
 pub(crate) fn chaos_drops_accept(shared: &Shared) -> bool {
     shared.chaos.as_ref().is_some_and(ChaosState::drop_accept)
-}
-
-/// TCP acceptor: polls the non-blocking listener, spawning one detached
-/// connection thread per accept, until the daemon stops.
-fn tcp_acceptor(shared: Arc<Shared>, listener: TcpListener) {
-    loop {
-        if shared.phase() == STOPPED {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                if chaos_drops_accept(&shared) {
-                    drop(stream);
-                    continue;
-                }
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_nodelay(true);
-                shared.connections.fetch_add(1, Ordering::SeqCst);
-                let local_peer = peer.ip().is_loopback();
-                if let Ok(reader) = stream.try_clone() {
-                    let shared = Arc::clone(&shared);
-                    thread::spawn(move || {
-                        let chaos_reader = ChaosReader { inner: reader, shared: Arc::clone(&shared) };
-                        handle_connection(shared, chaos_reader, stream, local_peer)
-                    });
-                }
-            }
-            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => thread::sleep(ACCEPT_POLL),
-        }
-    }
-}
-
-/// Boots the Unix-domain-socket acceptor (Unix only).
-#[cfg(unix)]
-fn unix_acceptor_thread(shared: Arc<Shared>, path: PathBuf) -> io::Result<JoinHandle<()>> {
-    use std::os::unix::net::UnixListener;
-
-    // A stale socket file from a previous run would fail the bind.
-    let _ = std::fs::remove_file(&path);
-    let listener = UnixListener::bind(&path)?;
-    listener.set_nonblocking(true)?;
-    Ok(thread::spawn(move || {
-        loop {
-            if shared.phase() == STOPPED {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if chaos_drops_accept(&shared) {
-                        drop(stream);
-                        continue;
-                    }
-                    let _ = stream.set_nonblocking(false);
-                    shared.connections.fetch_add(1, Ordering::SeqCst);
-                    if let Ok(reader) = stream.try_clone() {
-                        let shared = Arc::clone(&shared);
-                        // A Unix-socket peer is local by construction.
-                        thread::spawn(move || {
-                            let chaos_reader =
-                                ChaosReader { inner: reader, shared: Arc::clone(&shared) };
-                            handle_connection(shared, chaos_reader, stream, true)
-                        });
-                    }
-                }
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-                Err(_) => thread::sleep(ACCEPT_POLL),
-            }
-        }
-        let _ = std::fs::remove_file(&path);
-    }))
-}
-
-/// Non-Unix stub: a configured Unix socket is a start error.
-#[cfg(not(unix))]
-fn unix_acceptor_thread(_shared: Arc<Shared>, _path: PathBuf) -> io::Result<JoinHandle<()>> {
-    Err(io::Error::new(
-        io::ErrorKind::Unsupported,
-        "unix-domain sockets are not available on this platform",
-    ))
 }
 
 #[cfg(test)]
@@ -1316,44 +1070,21 @@ mod tests {
         server.join();
     }
 
-    /// A `Write` that appends into a shared buffer — lets a test read
-    /// back what `handle_connection`'s writer thread emitted.
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            lock(&self.0).extend_from_slice(buf);
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
     #[test]
     fn non_local_shutdown_is_refused_and_daemon_keeps_running() {
         let server = boot(1, 4);
 
-        // Feed a shutdown frame through the connection loop as a
-        // non-local peer (the acceptors classify loopback/Unix peers as
-        // local, so the deny path needs driving directly).
-        let mut input = Vec::new();
-        write_frame(&mut input, &Request { id: 5, body: RequestBody::Shutdown }.encode())
-            .expect("frame");
-        let out = Arc::new(Mutex::new(Vec::new()));
-        handle_connection(
-            Arc::clone(&server.shared),
-            io::Cursor::new(input),
-            SharedBuf(Arc::clone(&out)),
-            false,
-        );
-
-        let written = lock(&out).clone();
-        let frame = read_frame(&mut io::Cursor::new(written))
-            .expect("read")
-            .expect("one response frame");
-        let response = Response::decode(&frame).expect("decode");
+        // Feed a shutdown frame through the protocol path as a non-local
+        // peer (the reactor classifies loopback/Unix peers as local, so
+        // the deny path needs driving directly).
+        let frame = Request { id: 5, body: RequestBody::Shutdown }.encode();
+        let no_sink = |_: Codec| -> ReplySink { unreachable!("shutdown is answered inline") };
+        let outcome =
+            process_frame(&server.shared, &mut ConnProto::new(), &frame, false, &no_sink);
+        let FrameOutcome::Reply(payload) = outcome else {
+            panic!("shutdown must be answered inline");
+        };
+        let response = Response::decode(&payload).expect("decode");
         assert!(
             matches!(response, Response::Error { id: 5, error: ServiceError::Forbidden, .. }),
             "got {response:?}"

@@ -7,24 +7,16 @@
 //! connection continues in JSON).
 
 use am_service::{
-    encode_hello, read_frame, write_frame, Client, Codec, ConnBackend, Endpoint, Request,
-    RequestBody, Response, Server, ServerConfig, ServiceError, BINARY_VERSION, MAX_FRAME,
+    encode_hello, read_frame, write_frame, Client, Codec, Endpoint, Request, RequestBody, Response,
+    Server, ServerConfig, ServiceError, BINARY_VERSION, MAX_FRAME,
 };
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
-/// Both connection backends on Linux; the reactor is epoll-only so the
-/// list degrades to the thread backend elsewhere.
-#[cfg(target_os = "linux")]
-const BACKENDS: &[ConnBackend] = &[ConnBackend::Threads, ConnBackend::Reactor];
-#[cfg(not(target_os = "linux"))]
-const BACKENDS: &[ConnBackend] = &[ConnBackend::Threads];
-
-fn start(backend: ConnBackend, json_only: bool) -> Server {
+fn start(json_only: bool) -> Server {
     Server::start(ServerConfig {
         workers: 2,
-        backend,
         json_only,
         ..ServerConfig::default()
     })
@@ -73,36 +65,29 @@ fn ping_on(stream: &mut TcpStream, id: u64, context: &str) {
 
 /// A zero-length frame is not a hello and not valid JSON: the daemon
 /// must answer with a typed `malformed` error and keep the connection
-/// usable, on both backends.
+/// usable.
 #[test]
 fn zero_length_frame_gets_typed_malformed_and_connection_survives() {
-    for &backend in BACKENDS {
-        let server = start(backend, false);
-        let mut stream = raw_connect(&server);
+    let server = start(false);
+    let mut stream = raw_connect(&server);
 
-        write_frame(&mut stream, b"").expect("write empty frame");
-        let frame = read_frame(&mut stream)
-            .expect("read error reply")
-            .expect("daemon closed the connection on an empty frame");
-        let response = Response::decode(&frame).expect("decode error reply");
-        let Response::Error { error, .. } = response else {
-            panic!("{}: expected a typed error, got {response:?}", backend.name());
-        };
-        assert_eq!(
-            error,
-            ServiceError::Malformed,
-            "{}: empty frame must map to `malformed`",
-            backend.name()
-        );
+    write_frame(&mut stream, b"").expect("write empty frame");
+    let frame = read_frame(&mut stream)
+        .expect("read error reply")
+        .expect("daemon closed the connection on an empty frame");
+    let response = Response::decode(&frame).expect("decode error reply");
+    let Response::Error { error, .. } = response else {
+        panic!("expected a typed error, got {response:?}");
+    };
+    assert_eq!(error, ServiceError::Malformed, "empty frame must map to `malformed`");
 
-        // The same connection keeps working.
-        ping_on(&mut stream, 71, backend.name());
+    // The same connection keeps working.
+    ping_on(&mut stream, 71, "after an empty frame");
 
-        let endpoint = Endpoint::Tcp(server.addr().to_string());
-        let mut client = Client::connect(&endpoint).expect("connect");
-        client.shutdown().expect("shutdown");
-        server.join();
-    }
+    let endpoint = Endpoint::Tcp(server.addr().to_string());
+    let mut client = Client::connect(&endpoint).expect("connect");
+    client.shutdown().expect("shutdown");
+    server.join();
 }
 
 /// A length prefix beyond `MAX_FRAME` is a protocol violation: that
@@ -110,48 +95,42 @@ fn zero_length_frame_gets_typed_malformed_and_connection_survives() {
 /// and the daemon keeps serving fresh connections.
 #[test]
 fn oversized_length_prefix_closes_connection_but_daemon_survives() {
-    for &backend in BACKENDS {
-        let server = start(backend, false);
-        let mut stream = raw_connect(&server);
+    let server = start(false);
+    let mut stream = raw_connect(&server);
 
-        let oversized = (MAX_FRAME as u32) + 1;
-        stream
-            .write_all(&oversized.to_be_bytes())
-            .expect("write hostile prefix");
-        // The daemon must hang up: read either errors (reset) or
-        // returns a clean EOF — never a reply, never a stall.
-        match read_frame(&mut stream) {
-            Ok(None) | Err(_) => {}
-            Ok(Some(frame)) => panic!(
-                "{}: daemon answered an oversized prefix with {} bytes",
-                backend.name(),
-                frame.len()
-            ),
+    let oversized = (MAX_FRAME as u32) + 1;
+    stream
+        .write_all(&oversized.to_be_bytes())
+        .expect("write hostile prefix");
+    // The daemon must hang up: read either errors (reset) or returns a
+    // clean EOF — never a reply, never a stall.
+    match read_frame(&mut stream) {
+        Ok(None) | Err(_) => {}
+        Ok(Some(frame)) => {
+            panic!("daemon answered an oversized prefix with {} bytes", frame.len())
         }
-
-        // A fresh connection is served normally.
-        let mut fresh = raw_connect(&server);
-        ping_on(&mut fresh, 72, backend.name());
-
-        let endpoint = Endpoint::Tcp(server.addr().to_string());
-        let mut client = Client::connect(&endpoint).expect("connect");
-        client.shutdown().expect("shutdown");
-        server.join();
     }
+
+    // A fresh connection is served normally.
+    let mut fresh = raw_connect(&server);
+    ping_on(&mut fresh, 72, "after an oversized prefix");
+
+    let endpoint = Endpoint::Tcp(server.addr().to_string());
+    let mut client = Client::connect(&endpoint).expect("connect");
+    client.shutdown().expect("shutdown");
+    server.join();
 }
 
 /// 100 sockets each dribble one ping frame in single-digit-byte chunks,
-/// interleaved round-robin, against the reactor: every partial frame
-/// must be reassembled per-connection and every socket get exactly its
-/// own pong back. (Reactor-only: this is precisely the state the
-/// per-connection read buffers exist for.)
-#[cfg(target_os = "linux")]
+/// interleaved round-robin: every partial frame must be reassembled
+/// per-connection and every socket get exactly its own pong back — the
+/// state the reactor's per-connection read buffers exist for.
 #[test]
 fn interleaved_partial_frames_on_100_sockets_reassemble_per_connection() {
     const SOCKETS: u64 = 100;
     const CHUNK: usize = 5;
 
-    let server = start(ConnBackend::Reactor, false);
+    let server = start(false);
     let mut streams: Vec<TcpStream> = (0..SOCKETS).map(|_| raw_connect(&server)).collect();
     let frames: Vec<Vec<u8>> = (0..SOCKETS).map(|i| ping_frame(1000 + i)).collect();
 
@@ -195,38 +174,35 @@ fn interleaved_partial_frames_on_100_sockets_reassemble_per_connection() {
 /// the refusal as a connect error.
 #[test]
 fn binary_hello_to_json_only_server_gets_bad_codec_and_connection_survives() {
-    for &backend in BACKENDS {
-        let server = start(backend, true);
-        let mut stream = raw_connect(&server);
+    let server = start(true);
+    let mut stream = raw_connect(&server);
 
-        write_frame(&mut stream, &encode_hello(BINARY_VERSION)).expect("write hello");
-        let frame = read_frame(&mut stream)
-            .expect("read refusal")
-            .expect("daemon closed the connection on a binary hello");
-        let response = Response::decode(&frame).expect("refusal must be JSON");
-        let Response::Error { error, .. } = response else {
-            panic!("{}: expected a typed error, got {response:?}", backend.name());
-        };
-        assert_eq!(
-            error,
-            ServiceError::BadCodec,
-            "{}: binary hello to a JSON-only daemon must map to `bad_codec`",
-            backend.name()
-        );
+    write_frame(&mut stream, &encode_hello(BINARY_VERSION)).expect("write hello");
+    let frame = read_frame(&mut stream)
+        .expect("read refusal")
+        .expect("daemon closed the connection on a binary hello");
+    let response = Response::decode(&frame).expect("refusal must be JSON");
+    let Response::Error { error, .. } = response else {
+        panic!("expected a typed error, got {response:?}");
+    };
+    assert_eq!(
+        error,
+        ServiceError::BadCodec,
+        "binary hello to a JSON-only daemon must map to `bad_codec`"
+    );
 
-        // The connection stays open and stays JSON.
-        ping_on(&mut stream, 73, backend.name());
+    // The connection stays open and stays JSON.
+    ping_on(&mut stream, 73, "after a refused hello");
 
-        // The negotiating client reports the refusal as an error
-        // instead of silently downgrading.
-        let endpoint = Endpoint::Tcp(server.addr().to_string());
-        let Err(err) = Client::connect_with_codec(&endpoint, None, Codec::Binary) else {
-            panic!("negotiation against a JSON-only daemon must fail");
-        };
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    // The negotiating client reports the refusal as an error instead of
+    // silently downgrading.
+    let endpoint = Endpoint::Tcp(server.addr().to_string());
+    let Err(err) = Client::connect_with_codec(&endpoint, None, Codec::Binary) else {
+        panic!("negotiation against a JSON-only daemon must fail");
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
 
-        let mut client = Client::connect(&endpoint).expect("connect");
-        client.shutdown().expect("shutdown");
-        server.join();
-    }
+    let mut client = Client::connect(&endpoint).expect("connect");
+    client.shutdown().expect("shutdown");
+    server.join();
 }

@@ -3,16 +3,15 @@
 //! `obfuscade::run_pipeline_jobs` — for clean jobs, seeded
 //! fault-injection jobs, and jobs whose fault plans make the pipeline
 //! abort with a typed error — across server worker counts {1, 2, 4},
-//! across connections sharing the daemon's stage cache, and (PR 8)
-//! across the full {reactor, threads} × {binary, json} backend/codec
-//! matrix: decoded results must render to the same canonical JSON no
-//! matter which connection backend served them or which wire codec
-//! carried them.
+//! across connections sharing the daemon's stage cache, and across both
+//! wire codecs: decoded results must render to the same canonical JSON
+//! whichever codec carried them. The in-process `expected_*_wire` runs
+//! are the oracle.
 
 use am_service::{
     expected_detections_wire, expected_results_wire, expected_sanitize_wire, ChaosPlan, Client,
-    Codec, ConnBackend, DetectSpec, Endpoint, JobSpec, Response, RetryPolicy, RetryingClient,
-    SanitizeSpec, Server, ServerConfig,
+    Codec, DetectSpec, Endpoint, JobSpec, Response, RetryPolicy, RetryingClient, SanitizeSpec,
+    Server, ServerConfig,
 };
 use obfuscade::json::Json;
 use proptest::prelude::*;
@@ -29,21 +28,8 @@ const FAULT_SPECS: &[&str] = &[
 
 const WORKER_COUNTS: &[usize] = &[1, 2, 4];
 
-/// The backend × codec matrix every equivalence case sweeps. The
-/// reactor backend is Linux-only (epoll); elsewhere the matrix
-/// degrades to the thread backend so the suite still runs.
-#[cfg(target_os = "linux")]
-const MATRIX: &[(ConnBackend, Codec)] = &[
-    (ConnBackend::Threads, Codec::Json),
-    (ConnBackend::Threads, Codec::Binary),
-    (ConnBackend::Reactor, Codec::Json),
-    (ConnBackend::Reactor, Codec::Binary),
-];
-#[cfg(not(target_os = "linux"))]
-const MATRIX: &[(ConnBackend, Codec)] = &[
-    (ConnBackend::Threads, Codec::Json),
-    (ConnBackend::Threads, Codec::Binary),
-];
+/// The wire codecs every equivalence case sweeps.
+const CODECS: &[Codec] = &[Codec::Json, Codec::Binary];
 
 /// A small mixed batch over one fault spec: both orientations × two
 /// seeds, the odd jobs faulted — so the served batch carries both clean
@@ -76,15 +62,14 @@ proptest! {
         fault_seed in 1..10_000u64,
         seed in 1..1_000u64,
         workers_idx in 0..WORKER_COUNTS.len(),
-        matrix_idx in 0..MATRIX.len(),
+        codec_idx in 0..CODECS.len(),
     ) {
-        let (backend, codec) = MATRIX[matrix_idx];
+        let codec = CODECS[codec_idx];
         let jobs = mixed_batch(FAULT_SPECS[spec_idx], fault_seed, seed);
         let expected = expected_results_wire(&jobs).expect("in-process reference run");
 
         let server = Server::start(ServerConfig {
             workers: WORKER_COUNTS[workers_idx],
-            backend,
             ..ServerConfig::default()
         })
         .expect("server boots");
@@ -103,11 +88,10 @@ proptest! {
             prop_assert_eq!(
                 Json::Array(results).render(),
                 expected.clone(),
-                "served bytes diverged from the in-process run (round {}, workers {}, spec `{}`, backend {}, codec {})",
+                "served bytes diverged from the in-process run (round {}, workers {}, spec `{}`, codec {})",
                 round,
                 WORKER_COUNTS[workers_idx],
                 FAULT_SPECS[spec_idx],
-                backend.name(),
                 codec.name()
             );
         }
@@ -127,7 +111,7 @@ proptest! {
 
     /// PR 10: detection and sanitization batches served through the
     /// daemon are byte-identical to the in-process `am-detect` reference
-    /// run — across the same backend × codec matrix, including a faulted
+    /// run — under both codecs, including a faulted
     /// suspect, a jammed capture, and a blocked-upstream fault plan. The
     /// second round must ride the stage cache the first round warmed
     /// (detection reports cache exactly like pipeline stages).
@@ -136,9 +120,9 @@ proptest! {
         fault_idx in 0..FAULT_SPECS.len(),
         trace_seed in 1..10_000u64,
         payload_seed in 1..10_000u64,
-        matrix_idx in 0..MATRIX.len(),
+        codec_idx in 0..CODECS.len(),
     ) {
-        let (backend, codec) = MATRIX[matrix_idx];
+        let codec = CODECS[codec_idx];
         let detect_jobs = vec![
             DetectSpec {
                 job: JobSpec {
@@ -168,7 +152,6 @@ proptest! {
 
         let server = Server::start(ServerConfig {
             workers: 2,
-            backend,
             ..ServerConfig::default()
         })
         .expect("server boots");
@@ -184,9 +167,8 @@ proptest! {
             prop_assert_eq!(
                 Json::Array(reports).render(),
                 expected_detect.clone(),
-                "served detection bytes diverged (round {}, backend {}, codec {})",
+                "served detection bytes diverged (round {}, codec {})",
                 round,
-                backend.name(),
                 codec.name()
             );
             let response = client.sanitize(sanitize_jobs.clone(), None).expect("sanitize");
@@ -196,9 +178,8 @@ proptest! {
             prop_assert_eq!(
                 Json::Array(reports).render(),
                 expected_sanitize.clone(),
-                "served sanitize bytes diverged (round {}, backend {}, codec {})",
+                "served sanitize bytes diverged (round {}, codec {})",
                 round,
-                backend.name(),
                 codec.name()
             );
         }
@@ -227,15 +208,14 @@ proptest! {
         fault_seed in 1..10_000u64,
         seed in 1..1_000u64,
         workers_idx in 0..WORKER_COUNTS.len(),
-        matrix_idx in 0..MATRIX.len(),
+        codec_idx in 0..CODECS.len(),
     ) {
-        let (backend, codec) = MATRIX[matrix_idx];
+        let codec = CODECS[codec_idx];
         let jobs = mixed_batch(FAULT_SPECS[1], fault_seed, seed);
         let expected = expected_results_wire(&jobs).expect("in-process reference run");
 
         let server = Server::start(ServerConfig {
             workers: WORKER_COUNTS[workers_idx],
-            backend,
             chaos: Some(ChaosPlan {
                 // Aggressive transport chaos plus worker panics; spill
                 // faults are irrelevant here (no spill dir).
@@ -265,11 +245,10 @@ proptest! {
             prop_assert_eq!(
                 Json::Array(results).render(),
                 expected.clone(),
-                "chaos broke the determinism contract (round {}, workers {}, chaos seed {}, backend {}, codec {})",
+                "chaos broke the determinism contract (round {}, workers {}, chaos seed {}, codec {})",
                 round,
                 WORKER_COUNTS[workers_idx],
                 chaos_seed,
-                backend.name(),
                 codec.name()
             );
         }
