@@ -94,9 +94,6 @@ COMMANDS:
                                                 seeded connection drops, slow/short
                                                 reads, worker panics, spill-write
                                                 failures
-                     [--json-only]              refuse binary codec negotiation:
-                                                binary hellos get a typed bad_codec
-                                                error and the connection stays JSON
                      [--idle-timeout-s S]       drop connections idle for S
                                                 seconds (default 60; also the
                                                 slow-loris partial-frame bound)
@@ -122,7 +119,6 @@ COMMANDS:
                                                 over (default 4)
                      [--workers N]              forwarding workers (default 8)
                      [--queue N]                front queue capacity (default 64)
-                     [--json-only]              refuse binary negotiation on the front
                      [--allow-remote-shutdown]  honor wire shutdown from non-local peers
                      [--port-file FILE]         write the bound front address to FILE
                      [--node NAME]              stats node name (default \"router\")
@@ -154,7 +150,8 @@ COMMANDS:
                      flags for --kind sanitize:
                        [--payload-seed N]       embed a seeded stego payload first
                                                 (default 0 = scan the clean path)
-                       [--payload-bits N]       channel width in bits (default 2)
+                       [--payload-bits N]       channel width in bits, 1..=8
+                                                (default 2)
                      [--verify]                 with detect/sanitize: byte-compare the
                                                 served reports against an in-process
                                                 am-detect run of the same job
@@ -787,7 +784,7 @@ pub fn serve(args: &[String]) -> CliResult {
         args,
         &[
             "addr", "uds", "workers", "queue", "cache-mb", "allow-remote-shutdown", "port-file",
-            "spill-dir", "chaos-seed", "json-only", "idle-timeout-s", "node",
+            "spill-dir", "chaos-seed", "idle-timeout-s", "node",
         ],
     )?;
     if let Some(extra) = positional.first() {
@@ -810,7 +807,6 @@ pub fn serve(args: &[String]) -> CliResult {
         allow_remote_shutdown: flags.contains_key("allow-remote-shutdown"),
         spill_dir: flags.get("spill-dir").map(std::path::PathBuf::from),
         chaos: u64_flag(&flags, "chaos-seed")?.map(am_service::ChaosPlan::from_seed),
-        json_only: flags.contains_key("json-only"),
         idle_timeout: match u64_flag(&flags, "idle-timeout-s")? {
             Some(secs) => std::time::Duration::from_secs(secs.max(1)),
             None => defaults.idle_timeout,
@@ -864,7 +860,7 @@ pub fn route(args: &[String]) -> CliResult {
         args,
         &[
             "to", "addr", "uds", "policy", "conns", "fail-threshold", "probe-every", "retries",
-            "workers", "queue", "allow-remote-shutdown", "json-only", "port-file", "node",
+            "workers", "queue", "allow-remote-shutdown", "port-file", "node",
         ],
     )?;
     if let Some(extra) = positional.first() {
@@ -890,7 +886,6 @@ pub fn route(args: &[String]) -> CliResult {
             workers: usize_flag(&flags, "workers", 8)?.max(1),
             queue_capacity: usize_flag(&flags, "queue", front_defaults.queue_capacity)?.max(1),
             allow_remote_shutdown: flags.contains_key("allow-remote-shutdown"),
-            json_only: flags.contains_key("json-only"),
             node: flags.get("node").cloned().unwrap_or_default(),
             ..front_defaults
         },
@@ -990,6 +985,13 @@ pub fn submit(args: &[String]) -> CliResult {
     }
     let endpoint = submit_endpoint(&flags)?;
     let job = job_spec_flags(&flags)?;
+    // The bounds both wire decoders put on a sanitize job's payload.
+    let payload_bits = match u64_flag(&flags, "payload-bits")? {
+        Some(bits) if !(1..=8).contains(&bits) => {
+            return Err(format!("bad --payload-bits value `{bits}` (need an integer in 1..=8)"))
+        }
+        bits => bits.unwrap_or(am_service::SanitizeSpec::default().payload_bits),
+    };
     let deadline_ms = u64_flag(&flags, "deadline-ms")?;
     let codec = match flags.get("codec") {
         Some(name) => am_service::Codec::from_name(name)?,
@@ -1107,11 +1109,11 @@ pub fn submit(args: &[String]) -> CliResult {
             }
         }
         "sanitize" => {
-            let defaults = am_service::SanitizeSpec::default();
             let spec = am_service::SanitizeSpec {
                 job,
-                payload_seed: u64_flag(&flags, "payload-seed")?.unwrap_or(defaults.payload_seed),
-                payload_bits: u64_flag(&flags, "payload-bits")?.unwrap_or(defaults.payload_bits),
+                payload_seed: u64_flag(&flags, "payload-seed")?
+                    .unwrap_or(am_service::SanitizeSpec::default().payload_seed),
+                payload_bits,
             };
             let jobs = vec![spec];
             let expected = flags
@@ -1355,13 +1357,20 @@ mod tests {
                 command(&["--cache-mbs".into(), "1".into(), "extra".into()]).expect_err(name);
             assert!(err.starts_with("unknown flag `--cache-mbs`"), "{name}: {err}");
         }
-        // The retired connection-backend choice fails like a typo, so a
-        // stale script gets the typed error instead of a silent default.
-        let retired: [(&str, Command, &str); 2] =
-            [("serve", serve, "reactor"), ("route", route, "threads")];
-        for (name, command, value) in retired {
-            let err = command(&["--backend".into(), value.into(), "extra".into()]).expect_err(name);
-            assert!(err.starts_with("unknown flag `--backend`"), "{name}: {err}");
+        // The retired connection-backend choice and JSON-only switch fail
+        // like a typo, so a stale script gets the typed error instead of a
+        // silent default.
+        let retired: [(&str, Command, &[&str]); 4] = [
+            ("serve", serve, &["--backend", "reactor"]),
+            ("route", route, &["--backend", "threads"]),
+            ("serve", serve, &["--json-only"]),
+            ("route", route, &["--json-only"]),
+        ];
+        for (name, command, flag) in retired {
+            let mut args: Vec<String> = flag.iter().map(|a| a.to_string()).collect();
+            args.push("extra".into());
+            let err = command(&args).expect_err(name);
+            assert!(err.starts_with(&format!("unknown flag `{}`", flag[0])), "{name}: {err}");
         }
         let err = audit(&["--json".into()]).unwrap_err();
         assert!(err.contains("takes no flags"), "{err}");
@@ -1419,6 +1428,16 @@ mod tests {
             let err = report(&["table2".into(), "--replicates".into(), bad.into()])
                 .expect_err("replicate count must be rejected");
             assert!(err.contains("--replicates"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn submit_rejects_payload_bits_outside_one_to_eight() {
+        // Rejected while parsing flags, before any connection is tried.
+        for bad in ["0", "9", "257"] {
+            let args = ["--kind", "sanitize", "--payload-bits", bad].map(String::from);
+            let err = submit(&args).expect_err("payload width must be rejected");
+            assert!(err.contains("--payload-bits") && err.contains("1..=8"), "{bad}: {err}");
         }
     }
 

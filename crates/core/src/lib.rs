@@ -58,6 +58,7 @@
 
 mod adversary;
 mod batch;
+pub mod bytes;
 mod cache;
 pub mod detect;
 mod fault;

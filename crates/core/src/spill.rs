@@ -15,8 +15,11 @@
 //! A rehydrated artifact must be **bit-identical** to the artifact a
 //! recompute would produce — the cache's determinism contract extends
 //! through the disk tier. The codec therefore serializes every artifact
-//! field exactly: floats by IEEE-754 bit pattern, enums by explicit
-//! discriminant byte, sequences length-prefixed. The only representation
+//! field exactly through the shared [`crate::bytes`] codec: floats by
+//! IEEE-754 bit pattern, enums by explicit discriminant byte, strings and
+//! sequences behind `u32` length prefixes, scalar counts as `u64`. The
+//! decoder refuses any length prefix the remaining record bytes cannot
+//! hold, so a corrupt record never drives a large allocation. The only representation
 //! change a round trip makes is re-interning the two `&'static str`
 //! machine-profile names through a leak-once table (bounded by the set of
 //! distinct profile/material names, a handful per process).
@@ -24,14 +27,17 @@
 //! # Segment format and recovery rules
 //!
 //! Each segment file starts with an 8-byte magic (`OBFSPILL`) and a
-//! little-endian `u32` format version, followed by records:
+//! little-endian `u32` format version (2), followed by records:
 //!
 //! ```text
 //! [len: u32 LE] [crc: u32 LE] [body: len bytes]
 //! body = [key.0 u64 LE] [key.1 u64 LE] [cost u64 LE] [kind u8] [payload]
 //! ```
 //!
-//! `crc` is CRC-32 (IEEE) over `body`. Recovery scans each segment in id
+//! `crc` is CRC-32 (IEEE) over `body`. A segment whose header does not
+//! match — another magic, or a version other than 2, such as the
+//! `u64`-prefixed version 1 — is dropped whole on open and its entries
+//! recomputed, never misread. Recovery scans each segment in id
 //! order and stops at the first record whose length prefix or CRC does
 //! not hold, truncating the file there: a torn tail from a mid-write
 //! crash (or any corrupt record) costs the entries at and after the tear
@@ -62,6 +68,7 @@ use am_slicer::{
     SlicerConfig, ToolMaterial, ToolPath,
 };
 
+use crate::bytes::{ByteReader, ByteWriter};
 use crate::cache::{StageArtifact, StageKey};
 use crate::detect::{DetectionReport, SanitizeReport};
 use crate::pipeline::{
@@ -71,15 +78,14 @@ use crate::pipeline::{
 
 /// Segment-file magic bytes.
 const MAGIC: &[u8; 8] = b"OBFSPILL";
-/// Segment format version.
-const VERSION: u32 = 1;
+/// Segment format version. Version 2 moved sequence and string length
+/// prefixes from `u64` to the `u32` of [`crate::bytes`]; a segment of any
+/// other version fails the header check and is dropped on open.
+const VERSION: u32 = 2;
 /// Header size: magic + version.
 const HEADER: u64 = 12;
 /// Per-record framing overhead: length prefix + CRC.
 const RECORD_HEAD: u64 = 8;
-/// Records larger than this are rejected as corrupt length prefixes
-/// before any allocation happens.
-const MAX_RECORD: u32 = 1 << 30;
 /// Segments roll over once their byte length passes this mark, keeping
 /// individual files (and recovery scans) bounded.
 const SEGMENT_ROLL: u64 = 64 << 20;
@@ -128,135 +134,6 @@ fn intern(s: &str) -> &'static str {
     let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
     guard.insert(s.to_owned(), leaked);
     leaked
-}
-
-// --- Byte codec ---------------------------------------------------------
-
-/// Little-endian byte sink for the artifact codec.
-struct ByteWriter {
-    buf: Vec<u8>,
-}
-
-impl ByteWriter {
-    fn new() -> Self {
-        ByteWriter { buf: Vec::new() }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// `f64` by IEEE-754 bit pattern — exact, `-0.0` and NaN payloads
-    /// round-trip.
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
-    fn str(&mut self, s: &str) {
-        self.usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-/// Checked little-endian byte source; every read is bounds-validated so a
-/// corrupt payload yields a typed error, never a panic.
-struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.buf.len())
-            .ok_or_else(|| format!("truncated payload at byte {}", self.pos))?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    /// A length prefix, sanity-capped so a corrupt count cannot demand an
-    /// absurd allocation before element reads start failing.
-    fn len(&mut self) -> Result<usize, String> {
-        let v = self.u64()?;
-        if v > (MAX_RECORD as u64) {
-            return Err(format!("implausible sequence length {v}"));
-        }
-        Ok(v as usize)
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bool(&mut self) -> Result<bool, String> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(format!("bad bool byte {other}")),
-        }
-    }
-
-    fn str(&mut self) -> Result<String, String> {
-        let n = self.len()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "non-UTF-8 string".to_string())
-    }
-
-    /// Asserts the payload was fully consumed — trailing bytes mean the
-    /// record does not parse as exactly one artifact.
-    fn finish(self) -> Result<(), String> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(format!("{} trailing bytes after artifact", self.buf.len() - self.pos))
-        }
-    }
 }
 
 // --- Component encoders/decoders ---------------------------------------
@@ -324,7 +201,7 @@ fn dec_stage(r: &mut ByteReader<'_>) -> Result<Stage, String> {
 }
 
 fn enc_outcomes(w: &mut ByteWriter, outcomes: &[StageOutcome]) {
-    w.usize(outcomes.len());
+    w.seq_len(outcomes.len());
     for o in outcomes {
         enc_stage(w, o.stage);
         w.u8(match o.status {
@@ -336,8 +213,8 @@ fn enc_outcomes(w: &mut ByteWriter, outcomes: &[StageOutcome]) {
 }
 
 fn dec_outcomes(r: &mut ByteReader<'_>) -> Result<Vec<StageOutcome>, String> {
-    let n = r.len()?;
-    let mut outcomes = Vec::with_capacity(n.min(64));
+    let n = r.seq_len(2)?;
+    let mut outcomes = Vec::with_capacity(n);
     for _ in 0..n {
         let stage = dec_stage(r)?;
         let status = match r.u8()? {
@@ -352,7 +229,7 @@ fn dec_outcomes(r: &mut ByteReader<'_>) -> Result<Vec<StageOutcome>, String> {
 }
 
 fn enc_diagnostics(w: &mut ByteWriter, diagnostics: &[Diagnostic]) {
-    w.usize(diagnostics.len());
+    w.seq_len(diagnostics.len());
     for d in diagnostics {
         enc_stage(w, d.stage);
         w.str(&d.message);
@@ -361,12 +238,13 @@ fn enc_diagnostics(w: &mut ByteWriter, diagnostics: &[Diagnostic]) {
 }
 
 fn dec_diagnostics(r: &mut ByteReader<'_>) -> Result<Vec<Diagnostic>, String> {
-    let n = r.len()?;
-    let mut diagnostics = Vec::with_capacity(n.min(64));
+    // Stage byte, string prefix, bool.
+    let n = r.seq_len(6)?;
+    let mut diagnostics = Vec::with_capacity(n);
     for _ in 0..n {
         diagnostics.push(Diagnostic {
             stage: dec_stage(r)?,
-            message: r.str()?,
+            message: r.str_ref()?.to_owned(),
             recovered: r.bool()?,
         });
     }
@@ -375,12 +253,12 @@ fn dec_diagnostics(r: &mut ByteReader<'_>) -> Result<Vec<Diagnostic>, String> {
 
 fn enc_mesh(w: &mut ByteWriter, mesh: &TriMesh) {
     let vertices = mesh.vertices();
-    w.usize(vertices.len());
+    w.seq_len(vertices.len());
     for &v in vertices {
         enc_point3(w, v);
     }
     let indices = mesh.indices();
-    w.usize(indices.len());
+    w.seq_len(indices.len());
     for tri in indices {
         for &i in tri {
             w.u32(i);
@@ -389,13 +267,13 @@ fn enc_mesh(w: &mut ByteWriter, mesh: &TriMesh) {
 }
 
 fn dec_mesh(r: &mut ByteReader<'_>) -> Result<TriMesh, String> {
-    let nv = r.len()?;
-    let mut vertices = Vec::with_capacity(nv.min(1 << 20));
+    let nv = r.seq_len(24)?;
+    let mut vertices = Vec::with_capacity(nv);
     for _ in 0..nv {
         vertices.push(dec_point3(r)?);
     }
-    let nt = r.len()?;
-    let mut triangles = Vec::with_capacity(nt.min(1 << 20));
+    let nt = r.seq_len(12)?;
+    let mut triangles = Vec::with_capacity(nt);
     for _ in 0..nt {
         let tri = [r.u32()?, r.u32()?, r.u32()?];
         // `TriMesh::from_raw` panics on out-of-range indices; validate
@@ -414,7 +292,7 @@ fn enc_seam_report(w: &mut ByteWriter, seam: &SeamReport) {
     w.usize(seam.chain_a_points);
     w.usize(seam.chain_b_points);
     w.bool(seam.conforming);
-    w.usize(seam.profile.len());
+    w.seq_len(seam.profile.len());
     for &(pos, gap) in &seam.profile {
         w.f64(pos);
         w.f64(gap);
@@ -424,11 +302,11 @@ fn enc_seam_report(w: &mut ByteWriter, seam: &SeamReport) {
 fn dec_seam_report(r: &mut ByteReader<'_>) -> Result<SeamReport, String> {
     let vertex_mismatch = r.f64()?;
     let chain_mismatch = r.f64()?;
-    let chain_a_points = r.len()?;
-    let chain_b_points = r.len()?;
+    let chain_a_points = r.usize()?;
+    let chain_b_points = r.usize()?;
     let conforming = r.bool()?;
-    let n = r.len()?;
-    let mut profile = Vec::with_capacity(n.min(1 << 16));
+    let n = r.seq_len(16)?;
+    let mut profile = Vec::with_capacity(n);
     for _ in 0..n {
         profile.push((r.f64()?, r.f64()?));
     }
@@ -443,22 +321,22 @@ fn dec_seam_report(r: &mut ByteReader<'_>) -> Result<SeamReport, String> {
 }
 
 fn enc_sliced_model(w: &mut ByteWriter, sliced: &SlicedModel) {
-    w.usize(sliced.layers.len());
+    w.seq_len(sliced.layers.len());
     for layer in &sliced.layers {
         w.f64(layer.z);
-        w.usize(layer.loops.len());
+        w.seq_len(layer.loops.len());
         for contour in &layer.loops {
             let vertices = contour.polygon.vertices();
-            w.usize(vertices.len());
+            w.seq_len(vertices.len());
             for &v in vertices {
                 enc_point2(w, v);
             }
             w.usize(contour.body);
         }
-        w.usize(layer.open_paths.len());
+        w.seq_len(layer.open_paths.len());
         for path in &layer.open_paths {
             let points = path.points();
-            w.usize(points.len());
+            w.seq_len(points.len());
             for &p in points {
                 enc_point2(w, p);
             }
@@ -470,26 +348,28 @@ fn enc_sliced_model(w: &mut ByteWriter, sliced: &SlicedModel) {
 }
 
 fn dec_sliced_model(r: &mut ByteReader<'_>) -> Result<SlicedModel, String> {
-    let nl = r.len()?;
-    let mut layers = Vec::with_capacity(nl.min(1 << 16));
+    // A layer is its z plus two sequence prefixes; a contour is a vertex
+    // prefix plus its body scalar; an open path is a point prefix.
+    let nl = r.seq_len(16)?;
+    let mut layers = Vec::with_capacity(nl);
     for _ in 0..nl {
         let z = r.f64()?;
-        let nc = r.len()?;
-        let mut loops = Vec::with_capacity(nc.min(1 << 16));
+        let nc = r.seq_len(12)?;
+        let mut loops = Vec::with_capacity(nc);
         for _ in 0..nc {
-            let nv = r.len()?;
-            let mut vertices = Vec::with_capacity(nv.min(1 << 16));
+            let nv = r.seq_len(16)?;
+            let mut vertices = Vec::with_capacity(nv);
             for _ in 0..nv {
                 vertices.push(dec_point2(r)?);
             }
-            let body = r.len()?;
+            let body = r.usize()?;
             loops.push(Contour { polygon: Polygon2::new(vertices), body });
         }
-        let np = r.len()?;
-        let mut open_paths = Vec::with_capacity(np.min(1 << 16));
+        let np = r.seq_len(4)?;
+        let mut open_paths = Vec::with_capacity(np);
         for _ in 0..np {
-            let n = r.len()?;
-            let mut points = Vec::with_capacity(n.min(1 << 16));
+            let n = r.seq_len(16)?;
+            let mut points = Vec::with_capacity(n);
             for _ in 0..n {
                 points.push(dec_point2(r)?);
             }
@@ -509,41 +389,28 @@ fn enc_slice_report(w: &mut ByteWriter, report: &SliceReport) {
     w.usize(report.internal_void_cells);
     w.f64(report.internal_void_area);
     w.f64(report.cell);
-    match &report.seam {
-        None => w.u8(0),
-        Some(seam) => {
-            w.u8(1);
-            w.usize(seam.interface_layers);
-            w.f64(seam.median_span);
-            w.f64(seam.mean_shift);
-        }
-    }
+    w.option(report.seam.as_ref(), |w, seam| {
+        w.usize(seam.interface_layers);
+        w.f64(seam.median_span);
+        w.f64(seam.mean_shift);
+    });
 }
 
 fn dec_slice_report(r: &mut ByteReader<'_>) -> Result<SliceReport, String> {
-    let layers = r.len()?;
-    let discontinuous_layers = r.len()?;
-    let max_components = r.len()?;
-    let internal_void_cells = r.len()?;
-    let internal_void_area = r.f64()?;
-    let cell = r.f64()?;
-    let seam = match r.u8()? {
-        0 => None,
-        1 => Some(SeamExposure {
-            interface_layers: r.len()?,
-            median_span: r.f64()?,
-            mean_shift: r.f64()?,
-        }),
-        other => return Err(format!("bad option tag {other}")),
-    };
     Ok(SliceReport {
-        layers,
-        discontinuous_layers,
-        max_components,
-        internal_void_cells,
-        internal_void_area,
-        cell,
-        seam,
+        layers: r.usize()?,
+        discontinuous_layers: r.usize()?,
+        max_components: r.usize()?,
+        internal_void_cells: r.usize()?,
+        internal_void_area: r.f64()?,
+        cell: r.f64()?,
+        seam: r.option(|r| {
+            Ok(SeamExposure {
+                interface_layers: r.usize()?,
+                median_span: r.f64()?,
+                mean_shift: r.f64()?,
+            })
+        })?,
     })
 }
 
@@ -575,7 +442,7 @@ fn dec_slicer_config(r: &mut ByteReader<'_>) -> Result<SlicerConfig, String> {
 }
 
 fn enc_toolpath(w: &mut ByteWriter, toolpath: &ToolPath) {
-    w.usize(toolpath.roads.len());
+    w.seq_len(toolpath.roads.len());
     for road in &toolpath.roads {
         enc_point2(w, road.from);
         enc_point2(w, road.to);
@@ -588,21 +455,16 @@ fn enc_toolpath(w: &mut ByteWriter, toolpath: &ToolPath) {
             RoadKind::Perimeter => 0,
             RoadKind::Infill => 1,
         });
-        match road.body {
-            None => w.u8(0),
-            Some(body) => {
-                w.u8(1);
-                w.u16(body);
-            }
-        }
+        w.option(road.body, ByteWriter::u16);
     }
     w.f64(toolpath.layer_height);
     w.f64(toolpath.road_width);
 }
 
 fn dec_toolpath(r: &mut ByteReader<'_>) -> Result<ToolPath, String> {
-    let n = r.len()?;
-    let mut roads = Vec::with_capacity(n.min(1 << 20));
+    // Two points, z, two tags and an option tag.
+    let n = r.seq_len(43)?;
+    let mut roads = Vec::with_capacity(n);
     for _ in 0..n {
         let from = dec_point2(r)?;
         let to = dec_point2(r)?;
@@ -617,11 +479,7 @@ fn dec_toolpath(r: &mut ByteReader<'_>) -> Result<ToolPath, String> {
             1 => RoadKind::Infill,
             other => return Err(format!("bad road kind {other}")),
         };
-        let body = match r.u8()? {
-            0 => None,
-            1 => Some(r.u16()?),
-            other => return Err(format!("bad option tag {other}")),
-        };
+        let body = r.option(ByteReader::u16)?;
         roads.push(Road { from, to, z, material, kind, body });
     }
     let layer_height = r.f64()?;
@@ -652,7 +510,7 @@ fn enc_profile(w: &mut ByteWriter, profile: &PrinterProfile) {
 }
 
 fn dec_profile(r: &mut ByteReader<'_>) -> Result<PrinterProfile, String> {
-    let name = intern(&r.str()?);
+    let name = intern(r.str_ref()?);
     let process = match r.u8()? {
         0 => Process::Fdm,
         1 => Process::PolyJet,
@@ -662,7 +520,7 @@ fn dec_profile(r: &mut ByteReader<'_>) -> Result<PrinterProfile, String> {
     let road_width = r.f64()?;
     let feed_mm_per_s = r.f64()?;
     let model_material = MaterialSpec {
-        name: intern(&r.str()?),
+        name: intern(r.str_ref()?),
         young_modulus_gpa: r.f64()?,
         tensile_strength_mpa: r.f64()?,
         elongation_at_break: r.f64()?,
@@ -693,7 +551,7 @@ fn enc_printed(w: &mut ByteWriter, printed: &PrintedPart) {
     w.usize(raw.nx);
     w.usize(raw.ny);
     w.usize(raw.nz);
-    w.usize(raw.material.len());
+    w.seq_len(raw.material.len());
     for &m in &raw.material {
         w.u8(match m {
             Material::Empty => 0,
@@ -701,7 +559,7 @@ fn enc_printed(w: &mut ByteWriter, printed: &PrintedPart) {
             Material::Support => 2,
         });
     }
-    w.usize(raw.body.len());
+    w.seq_len(raw.body.len());
     for &b in &raw.body {
         w.u16(b);
     }
@@ -714,11 +572,11 @@ fn dec_printed(r: &mut ByteReader<'_>) -> Result<PrintedPart, String> {
     let origin = dec_point3(r)?;
     let voxel_xy = r.f64()?;
     let voxel_z = r.f64()?;
-    let nx = r.len()?;
-    let ny = r.len()?;
-    let nz = r.len()?;
-    let nm = r.len()?;
-    let mut material = Vec::with_capacity(nm.min(1 << 24));
+    let nx = r.usize()?;
+    let ny = r.usize()?;
+    let nz = r.usize()?;
+    let nm = r.seq_len(1)?;
+    let mut material = Vec::with_capacity(nm);
     for _ in 0..nm {
         material.push(match r.u8()? {
             0 => Material::Empty,
@@ -727,8 +585,8 @@ fn dec_printed(r: &mut ByteReader<'_>) -> Result<PrintedPart, String> {
             other => return Err(format!("bad material discriminant {other}")),
         });
     }
-    let nb = r.len()?;
-    let mut body = Vec::with_capacity(nb.min(1 << 24));
+    let nb = r.seq_len(2)?;
+    let mut body = Vec::with_capacity(nb);
     for _ in 0..nb {
         body.push(r.u16()?);
     }
@@ -751,7 +609,7 @@ fn dec_printed(r: &mut ByteReader<'_>) -> Result<PrintedPart, String> {
 }
 
 fn enc_tensile(w: &mut ByteWriter, result: &TensileResult) {
-    w.usize(result.curve.len());
+    w.seq_len(result.curve.len());
     for &(strain, stress) in &result.curve {
         w.f64(strain);
         w.f64(stress);
@@ -760,14 +618,8 @@ fn enc_tensile(w: &mut ByteWriter, result: &TensileResult) {
     w.f64(result.uts_mpa);
     w.f64(result.failure_strain);
     w.f64(result.toughness_kj_m3);
-    match result.fracture_origin {
-        None => w.u8(0),
-        Some(p) => {
-            w.u8(1);
-            enc_point2(w, p);
-        }
-    }
-    w.usize(result.fracture_path.len());
+    w.option(result.fracture_origin, enc_point2);
+    w.seq_len(result.fracture_path.len());
     for &p in &result.fracture_path {
         enc_point2(w, p);
     }
@@ -775,8 +627,8 @@ fn enc_tensile(w: &mut ByteWriter, result: &TensileResult) {
 }
 
 fn dec_tensile(r: &mut ByteReader<'_>) -> Result<TensileResult, String> {
-    let n = r.len()?;
-    let mut curve = Vec::with_capacity(n.min(1 << 16));
+    let n = r.seq_len(16)?;
+    let mut curve = Vec::with_capacity(n);
     for _ in 0..n {
         curve.push((r.f64()?, r.f64()?));
     }
@@ -784,13 +636,9 @@ fn dec_tensile(r: &mut ByteReader<'_>) -> Result<TensileResult, String> {
     let uts_mpa = r.f64()?;
     let failure_strain = r.f64()?;
     let toughness_kj_m3 = r.f64()?;
-    let fracture_origin = match r.u8()? {
-        0 => None,
-        1 => Some(dec_point2(r)?),
-        other => return Err(format!("bad option tag {other}")),
-    };
-    let np = r.len()?;
-    let mut fracture_path = Vec::with_capacity(np.min(1 << 20));
+    let fracture_origin = r.option(dec_point2)?;
+    let np = r.seq_len(16)?;
+    let mut fracture_path = Vec::with_capacity(np);
     for _ in 0..np {
         fracture_path.push(dec_point2(r)?);
     }
@@ -817,58 +665,51 @@ const KIND_DETECTION: u8 = 6;
 const KIND_SANITIZE: u8 = 7;
 
 /// Serializes one stage artifact as `[kind u8][payload]`.
-pub(crate) fn encode_artifact(artifact: &StageArtifact) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn enc_artifact(w: &mut ByteWriter, artifact: &StageArtifact) {
     match artifact {
         StageArtifact::Mesh(m) => {
             w.u8(KIND_MESH);
-            w.usize(m.shells.len());
+            w.seq_len(m.shells.len());
             for shell in &m.shells {
-                enc_mesh(&mut w, shell);
+                enc_mesh(w, shell);
             }
             w.usize(m.mesh_triangles);
             w.u64(m.stl_bytes);
-            match &m.seam {
-                None => w.u8(0),
-                Some(seam) => {
-                    w.u8(1);
-                    enc_seam_report(&mut w, seam);
-                }
-            }
-            enc_outcomes(&mut w, &m.outcomes);
-            enc_diagnostics(&mut w, &m.diagnostics);
+            w.option(m.seam.as_ref(), enc_seam_report);
+            enc_outcomes(w, &m.outcomes);
+            enc_diagnostics(w, &m.diagnostics);
         }
         StageArtifact::Slice(s) => {
             w.u8(KIND_SLICE);
-            enc_sliced_model(&mut w, &s.sliced);
-            enc_slice_report(&mut w, &s.slice_report);
-            enc_transform(&mut w, &s.to_build);
-            enc_slicer_config(&mut w, &s.config);
-            enc_outcomes(&mut w, &s.outcomes);
-            enc_diagnostics(&mut w, &s.diagnostics);
+            enc_sliced_model(w, &s.sliced);
+            enc_slice_report(w, &s.slice_report);
+            enc_transform(w, &s.to_build);
+            enc_slicer_config(w, &s.config);
+            enc_outcomes(w, &s.outcomes);
+            enc_diagnostics(w, &s.diagnostics);
         }
         StageArtifact::Toolpath(t) => {
             w.u8(KIND_TOOLPATH);
-            enc_toolpath(&mut w, &t.toolpath);
+            enc_toolpath(w, &t.toolpath);
             w.f64(t.stats.model_mm);
             w.f64(t.stats.support_mm);
             w.usize(t.stats.layers);
             w.f64(t.stats.time_s);
-            enc_outcomes(&mut w, &t.outcomes);
-            enc_diagnostics(&mut w, &t.diagnostics);
+            enc_outcomes(w, &t.outcomes);
+            enc_diagnostics(w, &t.diagnostics);
         }
         StageArtifact::Print(p) => {
             w.u8(KIND_PRINT);
-            enc_printed(&mut w, &p.printed);
+            enc_printed(w, &p.printed);
             w.usize(p.scan.internal_void_voxels);
             w.usize(p.scan.internal_support_voxels);
             w.f64(p.scan.internal_void_volume);
             w.f64(p.scan.cold_joint_area);
-            enc_outcomes(&mut w, &p.outcomes);
+            enc_outcomes(w, &p.outcomes);
         }
         StageArtifact::Tensile(t) => {
             w.u8(KIND_TENSILE);
-            enc_tensile(&mut w, t);
+            enc_tensile(w, t);
         }
         StageArtifact::Detection(d) => {
             w.u8(KIND_DETECTION);
@@ -876,13 +717,7 @@ pub(crate) fn encode_artifact(artifact: &StageArtifact) -> Vec<u8> {
             w.str(&d.quality);
             w.f64(d.jam_amplitude);
             w.u64(d.trace_seed);
-            match &d.blocked_by {
-                None => w.u8(0),
-                Some(stage) => {
-                    w.u8(1);
-                    w.str(stage);
-                }
-            }
+            w.option(d.blocked_by.as_deref(), ByteWriter::str);
             w.f64(d.audio_score);
             w.f64(d.power_score);
             w.f64(d.fused_score);
@@ -909,112 +744,77 @@ pub(crate) fn encode_artifact(artifact: &StageArtifact) -> Vec<u8> {
             w.str(&s.sanitized_fingerprint);
         }
     }
-    w.buf
 }
 
-/// Decodes one stage artifact from `[kind u8][payload]` bytes.
-pub(crate) fn decode_artifact(bytes: &[u8]) -> Result<StageArtifact, String> {
-    let mut r = ByteReader::new(bytes);
-    let kind = r.u8()?;
-    let artifact = match kind {
+/// Decodes one stage artifact from `[kind u8][payload]`, which must run
+/// to the end of the reader's input.
+fn dec_artifact(r: &mut ByteReader<'_>) -> Result<StageArtifact, String> {
+    let owned = |r: &mut ByteReader<'_>| r.str_ref().map(str::to_owned);
+    let artifact = match r.u8()? {
         KIND_MESH => {
-            let ns = r.len()?;
-            let mut shells = Vec::with_capacity(ns.min(64));
+            // Each shell is at least its two sequence prefixes.
+            let ns = r.seq_len(8)?;
+            let mut shells = Vec::with_capacity(ns);
             for _ in 0..ns {
-                shells.push(dec_mesh(&mut r)?);
+                shells.push(dec_mesh(r)?);
             }
-            let mesh_triangles = r.len()?;
-            let stl_bytes = r.u64()?;
-            let seam = match r.u8()? {
-                0 => None,
-                1 => Some(dec_seam_report(&mut r)?),
-                other => return Err(format!("bad option tag {other}")),
-            };
-            let outcomes = dec_outcomes(&mut r)?;
-            let diagnostics = dec_diagnostics(&mut r)?;
             StageArtifact::Mesh(Arc::new(MeshArtifact {
                 shells,
-                mesh_triangles,
-                stl_bytes,
-                seam,
-                outcomes,
-                diagnostics,
+                mesh_triangles: r.usize()?,
+                stl_bytes: r.u64()?,
+                seam: r.option(dec_seam_report)?,
+                outcomes: dec_outcomes(r)?,
+                diagnostics: dec_diagnostics(r)?,
             }))
         }
-        KIND_SLICE => {
-            let sliced = dec_sliced_model(&mut r)?;
-            let slice_report = dec_slice_report(&mut r)?;
-            let to_build = dec_transform(&mut r)?;
-            let config = dec_slicer_config(&mut r)?;
-            let outcomes = dec_outcomes(&mut r)?;
-            let diagnostics = dec_diagnostics(&mut r)?;
-            StageArtifact::Slice(Arc::new(SliceArtifact {
-                sliced,
-                slice_report,
-                to_build,
-                config,
-                outcomes,
-                diagnostics,
-            }))
-        }
-        KIND_TOOLPATH => {
-            let toolpath = dec_toolpath(&mut r)?;
-            let stats = ToolPathStats {
+        KIND_SLICE => StageArtifact::Slice(Arc::new(SliceArtifact {
+            sliced: dec_sliced_model(r)?,
+            slice_report: dec_slice_report(r)?,
+            to_build: dec_transform(r)?,
+            config: dec_slicer_config(r)?,
+            outcomes: dec_outcomes(r)?,
+            diagnostics: dec_diagnostics(r)?,
+        })),
+        KIND_TOOLPATH => StageArtifact::Toolpath(Arc::new(ToolpathArtifact {
+            toolpath: dec_toolpath(r)?,
+            stats: ToolPathStats {
                 model_mm: r.f64()?,
                 support_mm: r.f64()?,
-                layers: r.len()?,
+                layers: r.usize()?,
                 time_s: r.f64()?,
-            };
-            let outcomes = dec_outcomes(&mut r)?;
-            let diagnostics = dec_diagnostics(&mut r)?;
-            StageArtifact::Toolpath(Arc::new(ToolpathArtifact {
-                toolpath,
-                stats,
-                outcomes,
-                diagnostics,
-            }))
-        }
-        KIND_PRINT => {
-            let printed = Arc::new(dec_printed(&mut r)?);
-            let scan = ScanReport {
-                internal_void_voxels: r.len()?,
-                internal_support_voxels: r.len()?,
+            },
+            outcomes: dec_outcomes(r)?,
+            diagnostics: dec_diagnostics(r)?,
+        })),
+        KIND_PRINT => StageArtifact::Print(Arc::new(PrintArtifact {
+            printed: Arc::new(dec_printed(r)?),
+            scan: ScanReport {
+                internal_void_voxels: r.usize()?,
+                internal_support_voxels: r.usize()?,
                 internal_void_volume: r.f64()?,
                 cold_joint_area: r.f64()?,
-            };
-            let outcomes = dec_outcomes(&mut r)?;
-            StageArtifact::Print(Arc::new(PrintArtifact { printed, scan, outcomes }))
-        }
-        KIND_TENSILE => StageArtifact::Tensile(Arc::new(dec_tensile(&mut r)?)),
-        KIND_DETECTION => {
-            let fault_spec = r.str()?;
-            let quality = r.str()?;
-            let jam_amplitude = r.f64()?;
-            let trace_seed = r.u64()?;
-            let blocked_by = match r.u8()? {
-                0 => None,
-                1 => Some(r.str()?),
-                other => return Err(format!("bad option tag {other}")),
-            };
-            StageArtifact::Detection(Arc::new(DetectionReport {
-                fault_spec,
-                quality,
-                jam_amplitude,
-                trace_seed,
-                blocked_by,
-                audio_score: r.f64()?,
-                power_score: r.f64()?,
-                fused_score: r.f64()?,
-                audio_threshold: r.f64()?,
-                power_threshold: r.f64()?,
-                fused_threshold: r.f64()?,
-                audio_flagged: r.bool()?,
-                power_flagged: r.bool()?,
-                fused_flagged: r.bool()?,
-                suspect_frames: r.u64()?,
-                golden_frames: r.u64()?,
-            }))
-        }
+            },
+            outcomes: dec_outcomes(r)?,
+        })),
+        KIND_TENSILE => StageArtifact::Tensile(Arc::new(dec_tensile(r)?)),
+        KIND_DETECTION => StageArtifact::Detection(Arc::new(DetectionReport {
+            fault_spec: owned(r)?,
+            quality: owned(r)?,
+            jam_amplitude: r.f64()?,
+            trace_seed: r.u64()?,
+            blocked_by: r.option(owned)?,
+            audio_score: r.f64()?,
+            power_score: r.f64()?,
+            fused_score: r.f64()?,
+            audio_threshold: r.f64()?,
+            power_threshold: r.f64()?,
+            fused_threshold: r.f64()?,
+            audio_flagged: r.bool()?,
+            power_flagged: r.bool()?,
+            fused_flagged: r.bool()?,
+            suspect_frames: r.u64()?,
+            golden_frames: r.u64()?,
+        })),
         KIND_SANITIZE => StageArtifact::Sanitize(Arc::new(SanitizeReport {
             payload_seed: r.u64()?,
             payload_bits: r.u64()?,
@@ -1024,13 +824,31 @@ pub(crate) fn decode_artifact(bytes: &[u8]) -> Result<StageArtifact, String> {
             quantum_mm: r.f64()?,
             residual_mm: r.f64()?,
             fingerprint_preserved: r.bool()?,
-            original_fingerprint: r.str()?,
-            sanitized_fingerprint: r.str()?,
+            original_fingerprint: owned(r)?,
+            sanitized_fingerprint: owned(r)?,
         })),
         other => return Err(format!("unknown artifact kind {other}")),
     };
     r.finish()?;
     Ok(artifact)
+}
+
+/// Writes a record body: the key's two words, the accounted cost, then
+/// the artifact.
+fn enc_record_body(key: StageKey, cost: usize, artifact: &StageArtifact) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    let [k0, k1] = key.to_words();
+    w.u64(k0);
+    w.u64(k1);
+    w.usize(cost);
+    enc_artifact(&mut w, artifact);
+    w.into_bytes()
+}
+
+/// Reads a record body's key and cost, leaving `r` at the artifact.
+fn dec_record_head(r: &mut ByteReader<'_>) -> Result<(StageKey, usize), String> {
+    let key = StageKey::from_words([r.u64()?, r.u64()?]);
+    Ok((key, r.usize()?))
 }
 
 // --- The segment-file store ---------------------------------------------
@@ -1222,16 +1040,11 @@ impl SpillStore {
             }
         }
 
-        let mut body = Vec::new();
-        let words = key.to_words();
-        body.extend_from_slice(&words[0].to_le_bytes());
-        body.extend_from_slice(&words[1].to_le_bytes());
-        body.extend_from_slice(&(cost as u64).to_le_bytes());
-        body.extend_from_slice(&encode_artifact(artifact));
-        if body.len() > MAX_RECORD as usize {
+        let body = enc_record_body(key, cost, artifact);
+        let Ok(len) = u32::try_from(body.len()) else {
             inner.write_failures += 1;
             return;
-        }
+        };
 
         if inner.segment_len >= inner.roll {
             if let Err(()) = roll_segment(&mut inner) {
@@ -1240,10 +1053,11 @@ impl SpillStore {
             }
         }
 
-        let mut record = Vec::with_capacity(body.len() + RECORD_HEAD as usize);
-        record.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        record.extend_from_slice(&crc32(&body).to_le_bytes());
-        record.extend_from_slice(&body);
+        let mut record = ByteWriter::with_capacity(body.len() + RECORD_HEAD as usize);
+        record.u32(len);
+        record.u32(crc32(&body));
+        record.bytes(&body);
+        let record = record.into_bytes();
         let offset = inner.segment_len;
         if inner.segment.write_all(&record).is_err() {
             // A partial append would be a torn tail; recovery truncates
@@ -1255,10 +1069,9 @@ impl SpillStore {
             return;
         }
         inner.segment_len += record.len() as u64;
-        inner.bytes += body.len() as u64;
+        inner.bytes += u64::from(len);
         inner.writes += 1;
-        let location =
-            Location { segment: inner.segment_id, offset, len: body.len() as u32 };
+        let location = Location { segment: inner.segment_id, offset, len };
         inner.index.insert(key, location);
     }
 
@@ -1326,10 +1139,26 @@ fn roll_segment(inner: &mut SpillInner) -> Result<(), ()> {
     Ok(())
 }
 
+/// Does `data` open with this build's segment header?
+fn header_matches(data: &[u8]) -> bool {
+    let mut r = ByteReader::new(data);
+    r.bytes(MAGIC.len()).is_ok_and(|magic| magic == MAGIC) && r.u32() == Ok(VERSION)
+}
+
+/// Splits the framed record at the front of `data` into its CRC and
+/// body; `None` when the head or the body runs past the end of `data`.
+fn split_record(data: &[u8]) -> Option<(u32, &[u8])> {
+    let mut r = ByteReader::new(data);
+    let len = r.seq_len(1).ok()?;
+    let crc = r.u32().ok()?;
+    Some((crc, r.bytes(len).ok()?))
+}
+
 /// Scans one segment's bytes, indexing every valid record (later records
 /// win on duplicate keys) and returning the length of the valid prefix.
-/// The first bad header, length or CRC stops the scan — everything at and
-/// after it is treated as a torn tail.
+/// A bad header drops the whole segment; the first bad CRC or record head
+/// stops the scan. Either way everything after that point is treated as
+/// a torn tail.
 fn scan_segment(
     segment_id: u64,
     data: &[u8],
@@ -1337,56 +1166,35 @@ fn scan_segment(
     bytes: &mut u64,
     corrupt_dropped: &mut u64,
 ) -> u64 {
-    if data.len() < HEADER as usize
-        || &data[..8] != MAGIC
-        || data[8..12] != VERSION.to_le_bytes()
-    {
+    if !header_matches(data) {
         if !data.is_empty() {
             *corrupt_dropped += 1;
         }
         return 0;
     }
     let mut offset = HEADER as usize;
-    loop {
-        let Some(head) = data.get(offset..offset + RECORD_HEAD as usize) else {
-            if offset < data.len() {
-                // A partial record head is a torn tail (not worth a
-                // corruption counter bump — an in-flight append that
-                // never completed looks exactly like this).
-                return offset as u64;
-            }
-            return offset as u64;
+    // A record head or body running past the end of the segment is a
+    // torn tail, not worth a corruption count: an in-flight append that
+    // never completed looks exactly like this.
+    while let Some((crc, body)) = split_record(&data[offset..]) {
+        let head = if crc32(body) == crc {
+            dec_record_head(&mut ByteReader::new(body)).ok()
+        } else {
+            None
         };
-        let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
-        let crc = u32::from_le_bytes([head[4], head[5], head[6], head[7]]);
-        if len > MAX_RECORD {
+        let Some((key, _cost)) = head else {
             *corrupt_dropped += 1;
             return offset as u64;
-        }
-        let body_start = offset + RECORD_HEAD as usize;
-        let Some(body) = data.get(body_start..body_start + len as usize) else {
-            // Torn tail: the record head promises more bytes than exist.
-            return offset as u64;
         };
-        if crc32(body) != crc || body.len() < 24 {
-            *corrupt_dropped += 1;
-            return offset as u64;
-        }
-        let key = StageKey::from_words([
-            u64::from_le_bytes([
-                body[0], body[1], body[2], body[3], body[4], body[5], body[6], body[7],
-            ]),
-            u64::from_le_bytes([
-                body[8], body[9], body[10], body[11], body[12], body[13], body[14], body[15],
-            ]),
-        ]);
+        let len = body.len() as u32;
         let location = Location { segment: segment_id, offset: offset as u64, len };
         if let Some(old) = index.insert(key, location) {
             *bytes = bytes.saturating_sub(u64::from(old.len));
         }
         *bytes += u64::from(len);
-        offset = body_start + len as usize;
+        offset += RECORD_HEAD as usize + body.len();
     }
+    offset as u64
 }
 
 /// Reads, CRC-checks and decodes one indexed record.
@@ -1398,37 +1206,20 @@ fn read_record(
     let path = segment_path(dir, location.segment);
     let mut file = File::open(&path).map_err(|e| format!("open {}: {e}", path.display()))?;
     file.seek(SeekFrom::Start(location.offset)).map_err(|e| e.to_string())?;
-    let mut head = [0u8; 8];
-    file.read_exact(&mut head).map_err(|e| e.to_string())?;
-    let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
-    let crc = u32::from_le_bytes([head[4], head[5], head[6], head[7]]);
-    if len != location.len {
-        return Err("record length changed under the index".to_string());
-    }
-    let mut body = vec![0u8; len as usize];
-    file.read_exact(&mut body).map_err(|e| e.to_string())?;
-    if crc32(&body) != crc {
+    let mut record = vec![0u8; RECORD_HEAD as usize + location.len as usize];
+    file.read_exact(&mut record).map_err(|e| e.to_string())?;
+    let (crc, body) = split_record(&record)
+        .filter(|(_, body)| body.len() == location.len as usize)
+        .ok_or("record length changed under the index")?;
+    if crc32(body) != crc {
         return Err("record CRC mismatch at read time".to_string());
     }
-    if body.len() < 24 {
-        return Err("record body shorter than its key and cost".to_string());
-    }
-    let stored_key = StageKey::from_words([
-        u64::from_le_bytes([
-            body[0], body[1], body[2], body[3], body[4], body[5], body[6], body[7],
-        ]),
-        u64::from_le_bytes([
-            body[8], body[9], body[10], body[11], body[12], body[13], body[14], body[15],
-        ]),
-    ]);
+    let mut r = ByteReader::new(body);
+    let (stored_key, cost) = dec_record_head(&mut r)?;
     if stored_key != key {
         return Err("record key does not match the index".to_string());
     }
-    let cost = u64::from_le_bytes([
-        body[16], body[17], body[18], body[19], body[20], body[21], body[22], body[23],
-    ]) as usize;
-    let artifact = decode_artifact(&body[24..])?;
-    Ok((artifact, cost))
+    Ok((dec_artifact(&mut r)?, cost))
 }
 
 #[cfg(test)]
@@ -1437,6 +1228,16 @@ mod tests {
     use crate::StageHasher;
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    fn encode_artifact(artifact: &StageArtifact) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        enc_artifact(&mut w, artifact);
+        w.into_bytes()
+    }
+
+    fn decode_artifact(bytes: &[u8]) -> Result<StageArtifact, String> {
+        dec_artifact(&mut ByteReader::new(bytes))
+    }
 
     /// A fresh, unique scratch directory for one test.
     fn scratch(label: &str) -> PathBuf {
@@ -1692,6 +1493,51 @@ mod tests {
         assert!(decode_artifact(&encoded).is_err(), "trailing byte must fail");
         assert!(decode_artifact(&[99]).is_err(), "unknown kind must fail");
         assert!(decode_artifact(&[]).is_err(), "empty payload must fail");
+
+        // A length prefix claiming more elements than the remaining bytes
+        // can hold fails on the `seq_len` rule, before any allocation: a
+        // mesh shell's vertex count, and a printed part's material count.
+        let mut w = ByteWriter::new();
+        w.u8(KIND_MESH);
+        w.seq_len(1);
+        w.seq_len(1 << 28);
+        enc_point3(&mut w, Point3::new(0.0, 0.0, 0.0));
+        let Err(err) = decode_artifact(&w.into_bytes()) else { panic!("vertex-count bomb") };
+        assert!(err.contains("claims 268435456 elements of at least 24 bytes"), "{err}");
+        let mut w = ByteWriter::new();
+        w.u8(KIND_PRINT);
+        enc_profile(&mut w, &PrinterProfile::dimension_elite());
+        enc_point3(&mut w, Point3::new(0.0, 0.0, 0.0));
+        w.f64(0.5);
+        w.f64(0.5);
+        for n in [1024, 1024, 1024] {
+            w.usize(n);
+        }
+        w.seq_len(1 << 30);
+        w.u8(1);
+        let Err(err) = decode_artifact(&w.into_bytes()) else { panic!("material-count bomb") };
+        assert!(err.contains("claims 1073741824 elements"), "{err}");
+
+        // A segment whose header carries version 1 (`u64` length
+        // prefixes) is dropped on open, even with CRC-valid records
+        // behind it: the index starts empty, the segment counts as
+        // corrupt, and the store keeps working.
+        let dir = scratch("v1");
+        let key = key_of("v1");
+        SpillStore::open(&dir).expect("open").put(key, &tensile_artifact(1.0), 8);
+        let path = segment_path(&dir, 1);
+        let mut data = fs::read(&path).expect("segment bytes");
+        data[8..12].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(&path, &data).expect("write version-1 header");
+        let store = SpillStore::open(&dir).expect("reopen");
+        let stats = store.stats();
+        assert_eq!((stats.entries, stats.corrupt_dropped), (0, 1));
+        assert!(store.get(key).is_none(), "a version-1 record must never be served");
+        store.put(key, &tensile_artifact(2.0), 8);
+        let (back, cost) = store.get(key).expect("written again under version 2");
+        assert_eq!(encode_artifact(&back), encode_artifact(&tensile_artifact(2.0)));
+        assert_eq!(cost, 8);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

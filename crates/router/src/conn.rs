@@ -7,9 +7,9 @@
 //! response frame and hands it to the caller waiting on that request id,
 //! and ids are process-unique so two router workers sharing one
 //! connection can never collide. The connection negotiates the compact
-//! binary codec on open (falling back to JSON against a `--json-only`
-//! backend) so the router-to-backend hop pays binary framing costs, not
-//! JSON ones.
+//! binary codec on open and speaks nothing else, so the router-to-backend
+//! hop pays binary framing costs, not JSON ones; a backend that refuses
+//! the hello fails the open like one that refuses the connection.
 //!
 //! Death is explicit and sticky: a transport error, an undecodable
 //! frame, a response timeout, or EOF marks the connection dead, wakes
@@ -18,8 +18,6 @@
 //! pool replaces dead connections lazily on next checkout.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -27,8 +25,7 @@ use std::thread;
 use std::time::Duration;
 
 use am_service::{
-    decode_hello, encode_hello, is_binary_hello, read_frame, write_frame, Codec, Endpoint,
-    Request, Response, BINARY_VERSION,
+    negotiate_binary, read_frame, write_frame, Codec, Endpoint, Request, Response, Stream,
 };
 
 /// How long codec negotiation on a fresh connection may take before the
@@ -41,92 +38,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A duplex byte stream to a backend — TCP or Unix socket — that can be
-/// split into independently owned read and write halves.
-enum Duplex {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(std::os::unix::net::UnixStream),
-}
-
-impl Duplex {
-    fn connect(endpoint: &Endpoint) -> io::Result<Duplex> {
-        match endpoint {
-            Endpoint::Tcp(addr) => {
-                let stream = TcpStream::connect(addr)?;
-                let _ = stream.set_nodelay(true);
-                Ok(Duplex::Tcp(stream))
-            }
-            #[cfg(unix)]
-            Endpoint::Unix(path) => {
-                Ok(Duplex::Unix(std::os::unix::net::UnixStream::connect(path)?))
-            }
-            #[cfg(not(unix))]
-            Endpoint::Unix(_) => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "unix-domain sockets are not available on this platform",
-            )),
-        }
-    }
-
-    fn try_clone(&self) -> io::Result<Duplex> {
-        match self {
-            Duplex::Tcp(s) => s.try_clone().map(Duplex::Tcp),
-            #[cfg(unix)]
-            Duplex::Unix(s) => s.try_clone().map(Duplex::Unix),
-        }
-    }
-
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        match self {
-            Duplex::Tcp(s) => s.set_read_timeout(timeout),
-            #[cfg(unix)]
-            Duplex::Unix(s) => s.set_read_timeout(timeout),
-        }
-    }
-
-    /// Closes both directions, waking a reader blocked in `read`.
-    fn shutdown(&self) {
-        match self {
-            Duplex::Tcp(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-            #[cfg(unix)]
-            Duplex::Unix(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-        }
-    }
-}
-
-impl Read for Duplex {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Duplex::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Duplex::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Duplex {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Duplex::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Duplex::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Duplex::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Duplex::Unix(s) => s.flush(),
-        }
-    }
-}
-
 /// Requests in flight on one connection: id → the waiting caller's
 /// sender. Dropping a sender fails that caller's `recv` immediately.
 type Pending = Arc<Mutex<HashMap<u64, Sender<Response>>>>;
@@ -134,24 +45,23 @@ type Pending = Arc<Mutex<HashMap<u64, Sender<Response>>>>;
 /// One persistent backend connection carrying multiple concurrent
 /// requests (see the module docs for the full protocol).
 pub(crate) struct PipelinedConn {
-    writer: Mutex<Duplex>,
+    writer: Mutex<Stream>,
     /// Kept outside the writer mutex so `kill` can close the socket even
     /// while another caller holds the writer for a stalled write.
-    ctrl: Duplex,
-    codec: Codec,
+    ctrl: Stream,
     pending: Pending,
     dead: Arc<AtomicBool>,
 }
 
 impl PipelinedConn {
-    /// Connects, negotiates the binary codec (JSON fallback against a
-    /// refusing backend), and spawns the reader thread.
+    /// Connects, negotiates the binary codec, and spawns the reader
+    /// thread.
     pub(crate) fn open(endpoint: &Endpoint) -> Result<PipelinedConn, String> {
-        let mut stream = Duplex::connect(endpoint).map_err(|e| format!("connect failed: {e}"))?;
+        let mut stream = Stream::connect(endpoint).map_err(|e| format!("connect failed: {e}"))?;
         stream
             .set_read_timeout(Some(NEGOTIATE_TIMEOUT))
             .map_err(|e| format!("socket setup failed: {e}"))?;
-        let codec = negotiate(&mut stream)?;
+        negotiate_binary(&mut stream)?;
         stream
             .set_read_timeout(None)
             .map_err(|e| format!("socket setup failed: {e}"))?;
@@ -163,9 +73,9 @@ impl PipelinedConn {
         {
             let pending = Arc::clone(&pending);
             let dead = Arc::clone(&dead);
-            thread::spawn(move || reader_loop(reader_half, codec, pending, dead));
+            thread::spawn(move || reader_loop(reader_half, pending, dead));
         }
-        Ok(PipelinedConn { writer: Mutex::new(stream), ctrl, codec, pending, dead })
+        Ok(PipelinedConn { writer: Mutex::new(stream), ctrl, pending, dead })
     }
 
     pub(crate) fn is_dead(&self) -> bool {
@@ -197,7 +107,7 @@ impl PipelinedConn {
         let id = request.id;
         let (tx, rx) = mpsc::channel();
         lock(&self.pending).insert(id, tx);
-        let payload = self.codec.encode_request(&request);
+        let payload = Codec::Binary.encode_request(&request);
         let written = {
             let mut writer = lock(&self.writer);
             write_frame(&mut *writer, &payload)
@@ -227,37 +137,13 @@ impl Drop for PipelinedConn {
     }
 }
 
-/// Binary hello on a fresh stream: an echoed hello means binary; a typed
-/// `bad_codec` refusal means the backend is JSON-only and the connection
-/// continues in JSON.
-fn negotiate(stream: &mut Duplex) -> Result<Codec, String> {
-    write_frame(stream, &encode_hello(BINARY_VERSION)).map_err(|e| format!("hello send: {e}"))?;
-    let frame = read_frame(stream)
-        .map_err(|e| format!("hello receive: {e}"))?
-        .ok_or("the backend closed the connection during codec negotiation")?;
-    if is_binary_hello(&frame) {
-        let version = decode_hello(&frame)?;
-        if version != BINARY_VERSION {
-            return Err(format!(
-                "backend acknowledged binary version {version}, expected {BINARY_VERSION}"
-            ));
-        }
-        return Ok(Codec::Binary);
-    }
-    match Response::decode(&frame) {
-        Ok(Response::Error { .. }) => Ok(Codec::Json),
-        Ok(other) => Err(format!("expected a hello ack, got {other:?}")),
-        Err(e) => Err(format!("undecodable negotiation reply: {e}")),
-    }
-}
-
 /// Reader thread: decode response frames, route each to its waiter. Any
 /// failure (EOF, transport error, undecodable frame) ends the
 /// connection; clearing the pending map drops every sender, failing all
 /// stalled callers immediately.
-fn reader_loop(mut stream: Duplex, codec: Codec, pending: Pending, dead: Arc<AtomicBool>) {
+fn reader_loop(mut stream: Stream, pending: Pending, dead: Arc<AtomicBool>) {
     while let Ok(Some(frame)) = read_frame(&mut stream) {
-        let response = match codec.decode_response(&frame) {
+        let response = match Codec::Binary.decode_response(&frame) {
             Ok(response) => response,
             Err(_) => break,
         };

@@ -2,8 +2,8 @@
 //! service.
 //!
 //! A [`Router`] is a standalone daemon that speaks the full am-service
-//! wire protocol on its front socket — both connection backends, both
-//! codecs, the bounded queue, typed admission errors, graceful drain —
+//! wire protocol on its front socket — both codecs, the bounded queue,
+//! typed admission errors, graceful drain —
 //! and executes nothing locally. Every admitted `run`/`authenticate` is
 //! handed to a [`Fleet`] of N backend obfuscation daemons, with the
 //! backend chosen by **rendezvous hashing over the job's mesh→slice
@@ -14,7 +14,8 @@
 //! naive round-robin spreading.
 //!
 //! The router-to-backend hop runs over small pools of persistent
-//! connections that negotiate the binary codec and **pipeline** many
+//! connections that speak only the binary codec (a backend refusing the
+//! hello counts as down; there is no JSON fallback) and **pipeline** many
 //! in-flight requests per socket. Backends have per-node health: a run
 //! of consecutive failures ejects a backend from routing, deterministic
 //! periodic probes re-admit it once it answers again, and a job whose
@@ -63,8 +64,8 @@ pub use fleet::{endpoint_name, Fleet, RoutePolicy};
 /// Everything needed to boot a [`Router`].
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// The front-end server: socket addresses, connection backend,
-    /// codec policy, queue width — everything a plain daemon accepts.
+    /// The front-end server: socket addresses, worker count, queue
+    /// width, shutdown policy — everything a plain daemon accepts.
     /// Its `engine` field is overwritten with the fleet; its `node`
     /// name defaults to `"router"` when left empty.
     pub front: ServerConfig,

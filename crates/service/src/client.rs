@@ -1,6 +1,7 @@
 //! Client side: a blocking one-request-at-a-time [`Client`], plus the
 //! [`run_load_with`] generator the CLI (`submit --load`) uses to drive
-//! the daemon under concurrency.
+//! the daemon under concurrency. [`Stream`] is the one client-side
+//! socket type; the router's backend connections use it too.
 //!
 //! The load generator verifies more than liveness: when given the
 //! expected wire encoding (computed in-process by
@@ -23,7 +24,7 @@
 //! returned as-is. `shutdown` is never retried.
 
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -32,7 +33,7 @@ use am_par::Parallelism;
 use obfuscade::json::Json;
 use obfuscade::{run_pipeline_jobs, BatchJob, StageCache, StageHasher};
 
-use crate::codec::{decode_hello, encode_hello, is_binary_hello, Codec, BINARY_VERSION};
+use crate::codec::{negotiate_binary, Codec};
 use crate::protocol::{
     encode_detect_outcome, encode_outcome, encode_sanitize_outcome, read_frame, write_frame,
     DetectSpec, JobSpec, Request, RequestBody, Response, SanitizeSpec, ServiceError,
@@ -48,37 +49,105 @@ pub enum Endpoint {
     Unix(PathBuf),
 }
 
-/// The underlying connected stream.
-enum ClientStream {
+/// A connected TCP or Unix-domain stream to a daemon — the one socket
+/// type under [`Client`] and the router's backend connections.
+#[derive(Debug)]
+pub enum Stream {
+    /// A TCP connection, opened with `TCP_NODELAY`.
     Tcp(TcpStream),
+    /// A Unix-domain socket connection.
     #[cfg(unix)]
     Unix(std::os::unix::net::UnixStream),
 }
 
-impl Read for ClientStream {
+impl Stream {
+    /// Connects to `endpoint`. TCP connections set `TCP_NODELAY`: every
+    /// write is a whole frame, so batching small writes only adds delay.
+    ///
+    /// # Errors
+    ///
+    /// Connection failures; on non-Unix platforms, any
+    /// [`Endpoint::Unix`].
+    pub fn connect(endpoint: &Endpoint) -> io::Result<Stream> {
+        match endpoint {
+            Endpoint::Tcp(addr) => {
+                let stream = TcpStream::connect(addr)?;
+                let _ = stream.set_nodelay(true);
+                Ok(Stream::Tcp(stream))
+            }
+            #[cfg(unix)]
+            Endpoint::Unix(path) => {
+                Ok(Stream::Unix(std::os::unix::net::UnixStream::connect(path)?))
+            }
+            #[cfg(not(unix))]
+            Endpoint::Unix(_) => Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "unix-domain sockets are not available on this platform",
+            )),
+        }
+    }
+
+    /// Sets (or, with `None`, clears) the timeout of every read.
+    ///
+    /// # Errors
+    ///
+    /// The socket refusing the option.
+    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_read_timeout(timeout),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.set_read_timeout(timeout),
+        }
+    }
+
+    /// A second handle to the same socket, e.g. for a reader thread.
+    ///
+    /// # Errors
+    ///
+    /// The socket cannot be duplicated.
+    pub fn try_clone(&self) -> io::Result<Stream> {
+        match self {
+            Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.try_clone().map(Stream::Unix),
+        }
+    }
+
+    /// Closes both directions, waking a reader blocked on any handle to
+    /// the socket. Closing an already-closed socket is not an error here.
+    pub fn shutdown(&self) {
+        let _ = match self {
+            Stream::Tcp(s) => s.shutdown(Shutdown::Both),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.shutdown(Shutdown::Both),
+        };
+    }
+}
+
+impl Read for Stream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
-            ClientStream::Tcp(s) => s.read(buf),
+            Stream::Tcp(s) => s.read(buf),
             #[cfg(unix)]
-            ClientStream::Unix(s) => s.read(buf),
+            Stream::Unix(s) => s.read(buf),
         }
     }
 }
 
-impl Write for ClientStream {
+impl Write for Stream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         match self {
-            ClientStream::Tcp(s) => s.write(buf),
+            Stream::Tcp(s) => s.write(buf),
             #[cfg(unix)]
-            ClientStream::Unix(s) => s.write(buf),
+            Stream::Unix(s) => s.write(buf),
         }
     }
 
     fn flush(&mut self) -> io::Result<()> {
         match self {
-            ClientStream::Tcp(s) => s.flush(),
+            Stream::Tcp(s) => s.flush(),
             #[cfg(unix)]
-            ClientStream::Unix(s) => s.flush(),
+            Stream::Unix(s) => s.flush(),
         }
     }
 }
@@ -86,7 +155,7 @@ impl Write for ClientStream {
 /// A blocking service client: one in-flight request at a time, ids
 /// assigned sequentially per connection.
 pub struct Client {
-    stream: ClientStream,
+    stream: Stream,
     next_id: u64,
     codec: Codec,
 }
@@ -115,27 +184,8 @@ impl Client {
         endpoint: &Endpoint,
         read_timeout: Option<Duration>,
     ) -> io::Result<Client> {
-        let stream = match endpoint {
-            Endpoint::Tcp(addr) => {
-                let stream = TcpStream::connect(addr)?;
-                let _ = stream.set_nodelay(true);
-                stream.set_read_timeout(read_timeout)?;
-                ClientStream::Tcp(stream)
-            }
-            #[cfg(unix)]
-            Endpoint::Unix(path) => {
-                let stream = std::os::unix::net::UnixStream::connect(path)?;
-                stream.set_read_timeout(read_timeout)?;
-                ClientStream::Unix(stream)
-            }
-            #[cfg(not(unix))]
-            Endpoint::Unix(_) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "unix-domain sockets are not available on this platform",
-                ))
-            }
-        };
+        let stream = Stream::connect(endpoint)?;
+        stream.set_read_timeout(read_timeout)?;
         Ok(Client { stream, next_id: 1, codec: Codec::Json })
     }
 
@@ -146,9 +196,9 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Connection failures, or the daemon refusing the binary codec
-    /// (JSON-only daemon, version mismatch) — surfaced as `InvalidData`
-    /// with the daemon's typed `bad_codec` message.
+    /// Connection failures, or a failed negotiation ([`negotiate_binary`]:
+    /// the daemon refusing the binary codec or acknowledging another
+    /// version) — surfaced as `InvalidData` with the daemon's message.
     pub fn connect_with_codec(
         endpoint: &Endpoint,
         read_timeout: Option<Duration>,
@@ -156,9 +206,9 @@ impl Client {
     ) -> io::Result<Client> {
         let mut client = Client::connect_with(endpoint, read_timeout)?;
         if codec == Codec::Binary {
-            client
-                .negotiate_binary()
+            negotiate_binary(&mut client.stream)
                 .map_err(|message| io::Error::new(io::ErrorKind::InvalidData, message))?;
+            client.codec = Codec::Binary;
         }
         Ok(client)
     }
@@ -166,36 +216,6 @@ impl Client {
     /// The codec this connection speaks.
     pub fn codec(&self) -> Codec {
         self.codec
-    }
-
-    /// Sends the binary hello and interprets the daemon's answer: an
-    /// echoed hello switches the connection to binary; a JSON `bad_codec`
-    /// error is the daemon's refusal (the connection would survive in
-    /// JSON, but the caller asked for binary, so it surfaces as an
-    /// error here).
-    fn negotiate_binary(&mut self) -> Result<(), String> {
-        write_frame(&mut self.stream, &encode_hello(BINARY_VERSION))
-            .map_err(|e| format!("hello send failed: {e}"))?;
-        let frame = read_frame(&mut self.stream)
-            .map_err(|e| format!("hello receive failed: {e}"))?
-            .ok_or("the daemon closed the connection during codec negotiation")?;
-        if is_binary_hello(&frame) {
-            let version = decode_hello(&frame)?;
-            if version != BINARY_VERSION {
-                return Err(format!(
-                    "daemon acknowledged binary version {version}, expected {BINARY_VERSION}"
-                ));
-            }
-            self.codec = Codec::Binary;
-            return Ok(());
-        }
-        match Response::decode(&frame) {
-            Ok(Response::Error { error, message, .. }) => {
-                Err(format!("binary codec refused ({}): {message}", error.name()))
-            }
-            Ok(other) => Err(format!("expected a hello ack, got {other:?}")),
-            Err(e) => Err(format!("undecodable negotiation reply: {e}")),
-        }
     }
 
     /// Sends one request body and waits for the matching response.
@@ -818,17 +838,17 @@ pub fn expected_detections_wire(specs: &[DetectSpec]) -> Result<String, String> 
 ///
 /// # Errors
 ///
-/// An invalid part family or fault spec.
+/// An invalid part family or fault spec, or a payload width beyond
+/// `u32`.
 pub fn expected_sanitize_wire(specs: &[SanitizeSpec]) -> Result<String, String> {
     let cache = StageCache::with_budget(StageCache::DEFAULT_BUDGET);
     let mut reports = Vec::with_capacity(specs.len());
     for spec in specs {
         let part = spec.job.build_part()?;
         let faults = spec.job.fault_plan()?;
-        let config = am_detect::SanitizeConfig {
-            payload_seed: spec.payload_seed,
-            payload_bits: spec.payload_bits as u32,
-        };
+        let payload_bits = u32::try_from(spec.payload_bits)
+            .map_err(|_| format!("`payload_bits` {} does not fit in u32", spec.payload_bits))?;
+        let config = am_detect::SanitizeConfig { payload_seed: spec.payload_seed, payload_bits };
         let outcome = am_detect::sanitize_toolpath(
             &part,
             &spec.job.plan(),

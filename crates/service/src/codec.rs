@@ -13,15 +13,18 @@
 //! always start with `{`, so the magic is unambiguous. The server
 //! answers with the same 5 bytes carrying the version it accepted
 //! ([`BINARY_VERSION`] today) and both sides switch to binary for every
-//! subsequent frame; a server configured JSON-only (or offered a version
-//! it does not speak) instead answers a typed `bad_codec` **JSON** error
-//! and the connection continues in JSON — negotiation failure is an
-//! answer, never a hangup.
+//! subsequent frame; a malformed hello or a version the server does not
+//! speak instead gets a typed `bad_codec` **JSON** error, and the
+//! connection continues in JSON — negotiation failure is an answer,
+//! never a hangup. [`negotiate_binary`] is the client side of this
+//! exchange, shared by [`crate::Client`] and the router's backend
+//! connections.
 //!
 //! # Binary encoding
 //!
-//! Fixed-width little-endian scalars, `u32`-length-prefixed UTF-8
-//! strings, one leading tag byte per request/response kind and per
+//! The shared [`obfuscade::bytes`] codec: fixed-width little-endian
+//! scalars, strict 0/1 bools, `u32`-length-prefixed UTF-8 strings and
+//! sequences, plus one leading tag byte per request/response kind and per
 //! [`Json`] value — see DESIGN.md §14 for the byte-level layout. The
 //! encoding is a pure function of the decoded value (like the canonical
 //! JSON rendering), so equal values produce byte-identical frames and
@@ -31,16 +34,21 @@
 //! dominates JSON serve time and makes the round trip exact by
 //! construction.
 //!
-//! Decoding is **zero-copy until ownership is needed**: [`BinReader`]
+//! Decoding is **zero-copy until ownership is needed**: [`ByteReader`]
 //! hands out `&str`/`&[u8]` slices borrowed straight from the frame
-//! payload (UTF-8 validated in place, length-checked before any
-//! allocation), and only the retained fields of the final owned
-//! [`Request`]/[`Response`] are copied out of the buffer.
+//! payload (UTF-8 validated in place, every length prefix checked against
+//! the remaining bytes before any allocation), and only the retained
+//! fields of the final owned [`Request`]/[`Response`] are copied out of
+//! the buffer.
 
+use std::io::{Read, Write};
+
+use obfuscade::bytes::{ByteReader, ByteWriter};
 use obfuscade::json::Json;
 
 use crate::protocol::{
-    DetectSpec, JobSpec, Request, RequestBody, Response, SanitizeSpec, ServiceError, MAX_FRAME,
+    read_frame, write_frame, DetectSpec, JobSpec, Request, RequestBody, Response, SanitizeSpec,
+    ServiceError, MAX_FRAME,
 };
 use am_mesh::Resolution;
 use am_slicer::Orientation;
@@ -155,160 +163,36 @@ pub fn decode_hello(payload: &[u8]) -> Result<u8, String> {
     Ok(payload[4])
 }
 
-// --- binary writer ------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            put_u64(out, v);
+/// The client side of binary negotiation on a fresh connection: sends
+/// the hello and reads the answer. An echoed hello of [`BINARY_VERSION`]
+/// means every later frame on `stream` is binary.
+///
+/// # Errors
+///
+/// Transport failures, a closed connection, an acknowledgement of
+/// another version, or the peer's typed `bad_codec` refusal — an error
+/// here because the caller asked for binary, though the refused
+/// connection itself would carry on in JSON.
+pub fn negotiate_binary(stream: &mut (impl Read + Write)) -> Result<(), String> {
+    write_frame(stream, &encode_hello(BINARY_VERSION))
+        .map_err(|e| format!("hello send failed: {e}"))?;
+    let frame = read_frame(stream)
+        .map_err(|e| format!("hello receive failed: {e}"))?
+        .ok_or("the peer closed the connection during codec negotiation")?;
+    if is_binary_hello(&frame) {
+        return match decode_hello(&frame)? {
+            BINARY_VERSION => Ok(()),
+            version => Err(format!(
+                "peer acknowledged binary version {version}, expected {BINARY_VERSION}"
+            )),
+        };
+    }
+    match Response::decode(&frame) {
+        Ok(Response::Error { error, message, .. }) => {
+            Err(format!("binary codec refused ({}): {message}", error.name()))
         }
-    }
-}
-
-// --- zero-copy binary reader --------------------------------------------
-
-/// A cursor over a binary frame payload that yields scalars and
-/// **borrowed** slices — no intermediate copies; UTF-8 is validated in
-/// place and every length is checked against the remaining buffer before
-/// anything is materialised.
-pub struct BinReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> BinReader<'a> {
-    /// Wraps a frame payload.
-    pub fn new(buf: &'a [u8]) -> BinReader<'a> {
-        BinReader { buf, pos: 0 }
-    }
-
-    /// Takes `n` raw bytes as a borrowed slice.
-    ///
-    /// # Errors
-    ///
-    /// Fewer than `n` bytes remain.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.buf.len())
-            .ok_or_else(|| format!("binary frame truncated: wanted {n} bytes at {}", self.pos))?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    /// One byte.
-    ///
-    /// # Errors
-    ///
-    /// End of buffer.
-    pub fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    /// Little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// End of buffer.
-    pub fn u32(&mut self) -> Result<u32, String> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Little-endian `u64`.
-    ///
-    /// # Errors
-    ///
-    /// End of buffer.
-    pub fn u64(&mut self) -> Result<u64, String> {
-        let b = self.bytes(8)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(b);
-        Ok(u64::from_le_bytes(raw))
-    }
-
-    /// An `f64` from raw IEEE-754 bits.
-    ///
-    /// # Errors
-    ///
-    /// End of buffer.
-    pub fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// A length-prefixed string as a **borrowed** `&str` — the length is
-    /// bounds-checked against the remaining payload before the slice is
-    /// taken, and UTF-8 is validated in place.
-    ///
-    /// # Errors
-    ///
-    /// Truncation or invalid UTF-8.
-    pub fn str_ref(&mut self) -> Result<&'a str, String> {
-        let len = self.u32()? as usize;
-        let raw = self.bytes(len)?;
-        std::str::from_utf8(raw).map_err(|e| format!("binary string is not UTF-8: {e}"))
-    }
-
-    /// A collection length prefix, sanity-bounded: each element needs at
-    /// least `min_element_bytes`, so a length the remaining buffer cannot
-    /// possibly hold is rejected before any allocation.
-    ///
-    /// # Errors
-    ///
-    /// A length prefix larger than the remaining payload could encode.
-    pub fn seq_len(&mut self, min_element_bytes: usize) -> Result<usize, String> {
-        let len = self.u32()? as usize;
-        let remaining = self.buf.len() - self.pos;
-        if len.saturating_mul(min_element_bytes.max(1)) > remaining {
-            return Err(format!(
-                "binary frame claims {len} elements but only {remaining} bytes remain"
-            ));
-        }
-        Ok(len)
-    }
-
-    /// Asserts the payload was consumed exactly.
-    ///
-    /// # Errors
-    ///
-    /// Trailing bytes.
-    pub fn finish(&self) -> Result<(), String> {
-        if self.pos != self.buf.len() {
-            return Err(format!(
-                "binary frame has {} trailing bytes",
-                self.buf.len() - self.pos
-            ));
-        }
-        Ok(())
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, String> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            other => Err(format!("bad option tag {other}")),
-        }
+        Ok(other) => Err(format!("expected a hello ack, got {other:?}")),
+        Err(e) => Err(format!("undecodable negotiation reply: {e}")),
     }
 }
 
@@ -323,32 +207,32 @@ const J_ARRAY: u8 = 5;
 const J_OBJECT: u8 = 6;
 
 /// Appends the binary encoding of a [`Json`] value (tag byte + payload).
-pub fn put_json(out: &mut Vec<u8>, v: &Json) {
+pub fn put_json(w: &mut ByteWriter, v: &Json) {
     match v {
-        Json::Null => out.push(J_NULL),
-        Json::Bool(false) => out.push(J_FALSE),
-        Json::Bool(true) => out.push(J_TRUE),
+        Json::Null => w.u8(J_NULL),
+        Json::Bool(false) => w.u8(J_FALSE),
+        Json::Bool(true) => w.u8(J_TRUE),
         Json::Number(n) => {
-            out.push(J_NUMBER);
-            put_f64(out, *n);
+            w.u8(J_NUMBER);
+            w.f64(*n);
         }
         Json::String(s) => {
-            out.push(J_STRING);
-            put_str(out, s);
+            w.u8(J_STRING);
+            w.str(s);
         }
         Json::Array(items) => {
-            out.push(J_ARRAY);
-            put_u32(out, items.len() as u32);
+            w.u8(J_ARRAY);
+            w.seq_len(items.len());
             for item in items {
-                put_json(out, item);
+                put_json(w, item);
             }
         }
         Json::Object(fields) => {
-            out.push(J_OBJECT);
-            put_u32(out, fields.len() as u32);
+            w.u8(J_OBJECT);
+            w.seq_len(fields.len());
             for (name, value) in fields {
-                put_str(out, name);
-                put_json(out, value);
+                w.str(name);
+                put_json(w, value);
             }
         }
     }
@@ -360,11 +244,21 @@ pub fn put_json(out: &mut Vec<u8>, v: &Json) {
 ///
 /// Truncation, an unknown tag, or a depth beyond the JSON parser's own
 /// bound (128) — the two codecs accept the same value shapes.
-pub fn read_json(r: &mut BinReader<'_>) -> Result<Json, String> {
+pub fn read_json(r: &mut ByteReader<'_>) -> Result<Json, String> {
     read_json_at(r, 0)
 }
 
-fn read_json_at(r: &mut BinReader<'_>, depth: u32) -> Result<Json, String> {
+/// A length-prefixed sequence of binary [`Json`] values.
+fn read_json_seq(r: &mut ByteReader<'_>) -> Result<Vec<Json>, String> {
+    let n = r.seq_len(1)?;
+    let mut items = Vec::with_capacity(n);
+    for _ in 0..n {
+        items.push(read_json(r)?);
+    }
+    Ok(items)
+}
+
+fn read_json_at(r: &mut ByteReader<'_>, depth: u32) -> Result<Json, String> {
     if depth > 128 {
         return Err("binary JSON nests deeper than 128 levels".to_string());
     }
@@ -397,37 +291,31 @@ fn read_json_at(r: &mut BinReader<'_>, depth: u32) -> Result<Json, String> {
 
 // --- JobSpec ------------------------------------------------------------
 
-fn put_job(out: &mut Vec<u8>, job: &JobSpec) {
-    put_str(out, &job.part);
-    out.push(u8::from(job.intact));
-    out.push(match job.resolution {
+fn put_job(w: &mut ByteWriter, job: &JobSpec) {
+    w.str(&job.part);
+    w.bool(job.intact);
+    w.u8(match job.resolution {
         Resolution::Coarse => 0,
         Resolution::Fine => 1,
         Resolution::Custom => 2,
     });
-    out.push(match job.orientation {
+    w.u8(match job.orientation {
         Orientation::Xy => 0,
         Orientation::Xz => 1,
     });
-    put_u64(out, job.seed);
-    out.push(u8::from(job.tensile));
-    put_str(out, job.solver.name());
-    match job.layer {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            put_f64(out, v);
-        }
-    }
-    put_str(out, &job.faults);
-    put_u64(out, job.fault_seed);
+    w.u64(job.seed);
+    w.bool(job.tensile);
+    w.str(job.solver.name());
+    w.option(job.layer, ByteWriter::f64);
+    w.str(&job.faults);
+    w.u64(job.fault_seed);
 }
 
-fn read_job(r: &mut BinReader<'_>) -> Result<JobSpec, String> {
+fn read_job(r: &mut ByteReader<'_>) -> Result<JobSpec, String> {
     // Every string decodes as a borrowed slice first; only the retained
     // fields are copied into the owned spec.
     let part = r.str_ref()?;
-    let intact = r.u8()? != 0;
+    let intact = r.bool()?;
     let resolution = match r.u8()? {
         0 => Resolution::Coarse,
         1 => Resolution::Fine,
@@ -440,19 +328,12 @@ fn read_job(r: &mut BinReader<'_>) -> Result<JobSpec, String> {
         other => return Err(format!("unknown orientation tag {other}")),
     };
     let seed = r.u64()?;
-    let tensile = r.u8()? != 0;
+    let tensile = r.bool()?;
     let solver = r.str_ref()?.parse()?;
-    let layer = match r.u8()? {
-        0 => None,
-        1 => {
-            let v = r.f64()?;
-            if !(v.is_finite() && v > 0.0) {
-                return Err("`layer` must be a positive finite number".to_string());
-            }
-            Some(v)
-        }
-        other => return Err(format!("bad layer tag {other}")),
-    };
+    let layer = r.option(ByteReader::f64)?;
+    if layer.is_some_and(|v| !(v.is_finite() && v > 0.0)) {
+        return Err("`layer` must be a positive finite number".to_string());
+    }
     let faults = r.str_ref()?;
     let fault_seed = r.u64()?;
     Ok(JobSpec {
@@ -469,14 +350,14 @@ fn read_job(r: &mut BinReader<'_>) -> Result<JobSpec, String> {
     })
 }
 
-fn put_detect_spec(out: &mut Vec<u8>, spec: &DetectSpec) {
-    put_job(out, &spec.job);
-    put_str(out, &spec.quality);
-    put_f64(out, spec.jam_amplitude);
-    put_u64(out, spec.trace_seed);
+fn put_detect_spec(w: &mut ByteWriter, spec: &DetectSpec) {
+    put_job(w, &spec.job);
+    w.str(&spec.quality);
+    w.f64(spec.jam_amplitude);
+    w.u64(spec.trace_seed);
 }
 
-fn read_detect_spec(r: &mut BinReader<'_>) -> Result<DetectSpec, String> {
+fn read_detect_spec(r: &mut ByteReader<'_>) -> Result<DetectSpec, String> {
     let job = read_job(r)?;
     let quality = r.str_ref()?.to_string();
     let jam_amplitude = r.f64()?;
@@ -486,13 +367,15 @@ fn read_detect_spec(r: &mut BinReader<'_>) -> Result<DetectSpec, String> {
     Ok(DetectSpec { job, quality, jam_amplitude, trace_seed: r.u64()? })
 }
 
-fn put_sanitize_spec(out: &mut Vec<u8>, spec: &SanitizeSpec) {
-    put_job(out, &spec.job);
-    put_u64(out, spec.payload_seed);
-    out.push(spec.payload_bits as u8);
+fn put_sanitize_spec(w: &mut ByteWriter, spec: &SanitizeSpec) {
+    put_job(w, &spec.job);
+    w.u64(spec.payload_seed);
+    // One byte on the wire: a count past 255 saturates to 255, which the
+    // decoder refuses like every other count outside 1..=8.
+    w.u8(u8::try_from(spec.payload_bits).unwrap_or(u8::MAX));
 }
 
-fn read_sanitize_spec(r: &mut BinReader<'_>) -> Result<SanitizeSpec, String> {
+fn read_sanitize_spec(r: &mut ByteReader<'_>) -> Result<SanitizeSpec, String> {
     let job = read_job(r)?;
     let payload_seed = r.u64()?;
     let payload_bits = u64::from(r.u8()?);
@@ -514,45 +397,46 @@ const RQ_SANITIZE: u8 = 6;
 
 /// Binary request payload: kind tag, id, then the kind's fields.
 pub fn encode_request_binary(request: &Request) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    match &request.body {
-        RequestBody::Ping => out.push(RQ_PING),
-        RequestBody::Stats => out.push(RQ_STATS),
-        RequestBody::Shutdown => out.push(RQ_SHUTDOWN),
-        RequestBody::Run { .. } => out.push(RQ_RUN),
-        RequestBody::Authenticate { .. } => out.push(RQ_AUTHENTICATE),
-        RequestBody::Detect { .. } => out.push(RQ_DETECT),
-        RequestBody::Sanitize { .. } => out.push(RQ_SANITIZE),
-    }
-    put_u64(&mut out, request.id);
+    let mut w = ByteWriter::with_capacity(64);
+    w.u8(match &request.body {
+        RequestBody::Ping => RQ_PING,
+        RequestBody::Stats => RQ_STATS,
+        RequestBody::Shutdown => RQ_SHUTDOWN,
+        RequestBody::Run { .. } => RQ_RUN,
+        RequestBody::Authenticate { .. } => RQ_AUTHENTICATE,
+        RequestBody::Detect { .. } => RQ_DETECT,
+        RequestBody::Sanitize { .. } => RQ_SANITIZE,
+    });
+    w.u64(request.id);
     match &request.body {
         RequestBody::Ping | RequestBody::Stats | RequestBody::Shutdown => {}
         RequestBody::Run { jobs, deadline_ms } => {
-            put_u32(&mut out, jobs.len() as u32);
+            w.seq_len(jobs.len());
             for job in jobs {
-                put_job(&mut out, job);
+                put_job(&mut w, job);
             }
-            put_opt_u64(&mut out, *deadline_ms);
+            w.option(*deadline_ms, ByteWriter::u64);
         }
         RequestBody::Authenticate { job, deadline_ms } => {
-            put_job(&mut out, job);
-            put_opt_u64(&mut out, *deadline_ms);
+            put_job(&mut w, job);
+            w.option(*deadline_ms, ByteWriter::u64);
         }
         RequestBody::Detect { jobs, deadline_ms } => {
-            put_u32(&mut out, jobs.len() as u32);
+            w.seq_len(jobs.len());
             for spec in jobs {
-                put_detect_spec(&mut out, spec);
+                put_detect_spec(&mut w, spec);
             }
-            put_opt_u64(&mut out, *deadline_ms);
+            w.option(*deadline_ms, ByteWriter::u64);
         }
         RequestBody::Sanitize { jobs, deadline_ms } => {
-            put_u32(&mut out, jobs.len() as u32);
+            w.seq_len(jobs.len());
             for spec in jobs {
-                put_sanitize_spec(&mut out, spec);
+                put_sanitize_spec(&mut w, spec);
             }
-            put_opt_u64(&mut out, *deadline_ms);
+            w.option(*deadline_ms, ByteWriter::u64);
         }
     }
+    let out = w.into_bytes();
     debug_assert!(out.len() <= MAX_FRAME);
     out
 }
@@ -563,7 +447,7 @@ pub fn encode_request_binary(request: &Request) -> Vec<u8> {
 ///
 /// Truncation, unknown tags, malformed fields, or trailing bytes.
 pub fn decode_request_binary(payload: &[u8]) -> Result<Request, String> {
-    let mut r = BinReader::new(payload);
+    let mut r = ByteReader::new(payload);
     let kind = r.u8()?;
     let id = r.u64()?;
     let body = match kind {
@@ -577,10 +461,11 @@ pub fn decode_request_binary(payload: &[u8]) -> Result<Request, String> {
             for _ in 0..n {
                 jobs.push(read_job(&mut r)?);
             }
-            RequestBody::Run { jobs, deadline_ms: r.opt_u64()? }
+            RequestBody::Run { jobs, deadline_ms: r.option(ByteReader::u64)? }
         }
         RQ_AUTHENTICATE => {
-            RequestBody::Authenticate { job: read_job(&mut r)?, deadline_ms: r.opt_u64()? }
+            let job = read_job(&mut r)?;
+            RequestBody::Authenticate { job, deadline_ms: r.option(ByteReader::u64)? }
         }
         RQ_DETECT => {
             // A detect spec carries a job (≥ 40 bytes) plus its capture setup.
@@ -589,7 +474,7 @@ pub fn decode_request_binary(payload: &[u8]) -> Result<Request, String> {
             for _ in 0..n {
                 jobs.push(read_detect_spec(&mut r)?);
             }
-            RequestBody::Detect { jobs, deadline_ms: r.opt_u64()? }
+            RequestBody::Detect { jobs, deadline_ms: r.option(ByteReader::u64)? }
         }
         RQ_SANITIZE => {
             let n = r.seq_len(49)?;
@@ -597,7 +482,7 @@ pub fn decode_request_binary(payload: &[u8]) -> Result<Request, String> {
             for _ in 0..n {
                 jobs.push(read_sanitize_spec(&mut r)?);
             }
-            RequestBody::Sanitize { jobs, deadline_ms: r.opt_u64()? }
+            RequestBody::Sanitize { jobs, deadline_ms: r.option(ByteReader::u64)? }
         }
         other => return Err(format!("unknown binary request kind {other}")),
     };
@@ -643,45 +528,41 @@ fn error_from_tag(tag: u8) -> Result<ServiceError, String> {
 
 /// Binary response payload: kind tag, echoed id, then the kind's fields.
 pub fn encode_response_binary(response: &Response) -> Vec<u8> {
-    let mut out = Vec::with_capacity(128);
-    match response {
-        Response::Pong { .. } => out.push(RS_PONG),
-        Response::Stats { .. } => out.push(RS_STATS),
-        Response::Bye { .. } => out.push(RS_BYE),
-        Response::Results { .. } => out.push(RS_RESULTS),
-        Response::Verdict { .. } => out.push(RS_VERDICT),
-        Response::Error { .. } => out.push(RS_ERROR),
-        Response::Detections { .. } => out.push(RS_DETECTIONS),
-        Response::Sanitized { .. } => out.push(RS_SANITIZED),
-    }
-    put_u64(&mut out, response.id());
+    let mut w = ByteWriter::with_capacity(128);
+    w.u8(match response {
+        Response::Pong { .. } => RS_PONG,
+        Response::Stats { .. } => RS_STATS,
+        Response::Bye { .. } => RS_BYE,
+        Response::Results { .. } => RS_RESULTS,
+        Response::Verdict { .. } => RS_VERDICT,
+        Response::Error { .. } => RS_ERROR,
+        Response::Detections { .. } => RS_DETECTIONS,
+        Response::Sanitized { .. } => RS_SANITIZED,
+    });
+    w.u64(response.id());
     match response {
         Response::Pong { .. } => {}
-        Response::Stats { metrics, .. } => put_json(&mut out, metrics),
-        Response::Bye { completed, .. } => put_u64(&mut out, *completed),
-        Response::Results { results, .. } => {
-            put_u32(&mut out, results.len() as u32);
-            for result in results {
-                put_json(&mut out, result);
+        Response::Stats { metrics, .. } => put_json(&mut w, metrics),
+        Response::Bye { completed, .. } => w.u64(*completed),
+        Response::Results { results: items, .. }
+        | Response::Detections { reports: items, .. }
+        | Response::Sanitized { reports: items, .. } => {
+            w.seq_len(items.len());
+            for item in items {
+                put_json(&mut w, item);
             }
         }
         Response::Verdict { verdict, cold_joint_mm2, void_mm3, .. } => {
-            put_str(&mut out, verdict);
-            put_f64(&mut out, *cold_joint_mm2);
-            put_f64(&mut out, *void_mm3);
+            w.str(verdict);
+            w.f64(*cold_joint_mm2);
+            w.f64(*void_mm3);
         }
         Response::Error { error, message, .. } => {
-            out.push(error_tag(*error));
-            put_str(&mut out, message);
-        }
-        Response::Detections { reports, .. } | Response::Sanitized { reports, .. } => {
-            put_u32(&mut out, reports.len() as u32);
-            for report in reports {
-                put_json(&mut out, report);
-            }
+            w.u8(error_tag(*error));
+            w.str(message);
         }
     }
-    out
+    w.into_bytes()
 }
 
 /// Decodes a binary response payload.
@@ -690,21 +571,14 @@ pub fn encode_response_binary(response: &Response) -> Vec<u8> {
 ///
 /// Truncation, unknown tags, malformed fields, or trailing bytes.
 pub fn decode_response_binary(payload: &[u8]) -> Result<Response, String> {
-    let mut r = BinReader::new(payload);
+    let mut r = ByteReader::new(payload);
     let kind = r.u8()?;
     let id = r.u64()?;
     let response = match kind {
         RS_PONG => Response::Pong { id },
         RS_STATS => Response::Stats { id, metrics: read_json(&mut r)? },
         RS_BYE => Response::Bye { id, completed: r.u64()? },
-        RS_RESULTS => {
-            let n = r.seq_len(1)?;
-            let mut results = Vec::with_capacity(n);
-            for _ in 0..n {
-                results.push(read_json(&mut r)?);
-            }
-            Response::Results { id, results }
-        }
+        RS_RESULTS => Response::Results { id, results: read_json_seq(&mut r)? },
         RS_VERDICT => Response::Verdict {
             id,
             verdict: r.str_ref()?.to_string(),
@@ -715,18 +589,8 @@ pub fn decode_response_binary(payload: &[u8]) -> Result<Response, String> {
             let error = error_from_tag(r.u8()?)?;
             Response::Error { id, error, message: r.str_ref()?.to_string() }
         }
-        RS_DETECTIONS | RS_SANITIZED => {
-            let n = r.seq_len(1)?;
-            let mut reports = Vec::with_capacity(n);
-            for _ in 0..n {
-                reports.push(read_json(&mut r)?);
-            }
-            if kind == RS_DETECTIONS {
-                Response::Detections { id, reports }
-            } else {
-                Response::Sanitized { id, reports }
-            }
-        }
+        RS_DETECTIONS => Response::Detections { id, reports: read_json_seq(&mut r)? },
+        RS_SANITIZED => Response::Sanitized { id, reports: read_json_seq(&mut r)? },
         other => return Err(format!("unknown binary response kind {other}")),
     };
     r.finish()?;
@@ -875,6 +739,26 @@ mod tests {
         bomb.extend_from_slice(&500_000_000u32.to_le_bytes());
         let err = decode_request_binary(&bomb).expect_err("bomb");
         assert!(err.contains("elements"), "{err}");
+    }
+
+    #[test]
+    fn binary_bools_are_canonical() {
+        // A job's `intact` and `tensile` flags are its bools: any byte
+        // other than 0 or 1 in either is a typed error, never `true`.
+        let job = JobSpec { part: "bar".into(), ..JobSpec::default() };
+        let request = Request { id: 1, body: RequestBody::Authenticate { job, deadline_ms: None } };
+        let payload = encode_request_binary(&request);
+        // Kind, id, then the part's prefix and 3 bytes: `intact`. Two
+        // tags and the seed later: `tensile`.
+        let intact = 1 + 8 + 4 + 3;
+        let tensile = intact + 1 + 2 + 8;
+        for at in [intact, tensile] {
+            assert_eq!(payload[at], 0, "byte {at} is a false flag");
+            let mut bad = payload.clone();
+            bad[at] = 2;
+            let err = decode_request_binary(&bad).expect_err("byte 2 is not a bool");
+            assert!(err.contains("bad bool byte 2"), "{err}");
+        }
     }
 
     #[test]

@@ -49,9 +49,12 @@ pub mod server;
 
 pub use client::{
     expected_detections_wire, expected_results_wire, expected_sanitize_wire, run_load_with,
-    Client, Endpoint, LoadReport, RetryPolicy, RetryingClient,
+    Client, Endpoint, LoadReport, RetryPolicy, RetryingClient, Stream,
 };
-pub use codec::{decode_hello, encode_hello, is_binary_hello, Codec, BINARY_MAGIC, BINARY_VERSION};
+pub use codec::{
+    decode_hello, encode_hello, is_binary_hello, negotiate_binary, Codec, BINARY_MAGIC,
+    BINARY_VERSION,
+};
 pub use protocol::{
     encode_detect_outcome, encode_outcome, encode_sanitize_outcome, read_frame, write_frame,
     DetectSpec, JobSpec, Request, RequestBody, Response, SanitizeSpec, ServiceError, MAX_FRAME,

@@ -655,9 +655,9 @@ pub enum ServiceError {
     /// Submission is idempotent and content-addressed, so clients may
     /// safely retry.
     Internal,
-    /// A codec negotiation the daemon cannot honor — binary magic sent
-    /// to a JSON-only server, or an unsupported binary version. Always
-    /// answered in JSON; the connection survives and stays JSON.
+    /// A codec negotiation the daemon cannot honor — a malformed binary
+    /// hello, or an unsupported binary version. Always answered in JSON;
+    /// the connection survives and stays JSON.
     BadCodec,
 }
 

@@ -244,11 +244,6 @@ pub struct ServerConfig {
     pub spill_dir: Option<PathBuf>,
     /// Deterministic fault injection; `None` (the default) runs clean.
     pub chaos: Option<ChaosPlan>,
-    /// Refuse binary codec negotiation: a binary hello gets a typed
-    /// `bad_codec` error and the connection stays JSON. Off by default
-    /// (the daemon speaks both; clients that never negotiate stay JSON
-    /// regardless).
-    pub json_only: bool,
     /// A connection that makes no progress for this long —
     /// no bytes read or written, nothing in flight — is closed. Also the
     /// slow-loris bound: a peer dribbling a partial frame must finish it
@@ -273,7 +268,6 @@ impl Default for ServerConfig {
             allow_remote_shutdown: false,
             spill_dir: None,
             chaos: None,
-            json_only: false,
             idle_timeout: Duration::from_secs(60),
             node: String::new(),
             engine: Engine::Local,
@@ -329,7 +323,6 @@ pub(crate) struct Shared {
     workers: usize,
     queue_capacity: usize,
     allow_remote_shutdown: bool,
-    json_only: bool,
     node: String,
     engine: Engine,
     pub(crate) idle_timeout: Duration,
@@ -466,7 +459,6 @@ impl Server {
             workers: config.workers.max(1),
             queue_capacity: config.queue_capacity.max(1),
             allow_remote_shutdown: config.allow_remote_shutdown,
-            json_only: config.json_only,
             node: config.node.clone(),
             engine: config.engine.clone(),
             idle_timeout: config.idle_timeout,
@@ -947,21 +939,17 @@ pub(crate) fn process_frame(
         if is_binary_hello(frame) {
             // A negotiation attempt. Failure is answered (in JSON, the
             // codec the connection stays on) — never a hangup.
-            let refusal = if shared.json_only {
-                "this daemon is configured JSON-only (bad_codec); continue in JSON".to_string()
-            } else {
-                match decode_hello(frame) {
-                    Ok(BINARY_VERSION) => {
-                        proto.codec = Some(Codec::Binary);
-                        shared.binary_negotiated.fetch_add(1, Ordering::SeqCst);
-                        return FrameOutcome::Reply(encode_hello(BINARY_VERSION));
-                    }
-                    Ok(version) => format!(
-                        "binary codec version {version} is not supported (this daemon \
-                         speaks {BINARY_VERSION}); continue in JSON"
-                    ),
-                    Err(message) => message,
+            let refusal = match decode_hello(frame) {
+                Ok(BINARY_VERSION) => {
+                    proto.codec = Some(Codec::Binary);
+                    shared.binary_negotiated.fetch_add(1, Ordering::SeqCst);
+                    return FrameOutcome::Reply(encode_hello(BINARY_VERSION));
                 }
+                Ok(version) => format!(
+                    "binary codec version {version} is not supported (this daemon \
+                     speaks {BINARY_VERSION}); continue in JSON"
+                ),
+                Err(message) => message,
             };
             proto.codec = Some(Codec::Json);
             let error =

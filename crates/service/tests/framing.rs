@@ -2,22 +2,23 @@
 //! crash the daemon or wedge other connections. Covers zero-length
 //! frames (typed `malformed`, connection survives), oversized length
 //! prefixes (connection closed, daemon keeps serving), partial frames
-//! interleaved across 100 concurrent sockets against the reactor, and
-//! a binary-magic hello sent to a JSON-only server (typed `bad_codec`,
-//! connection continues in JSON).
+//! interleaved across 100 concurrent sockets against the reactor, a
+//! binary hello proposing a version the daemon does not speak (typed
+//! `bad_codec`, connection continues in JSON), and an out-of-range
+//! sanitize payload width on both codecs (typed `malformed`).
 
 use am_service::{
-    encode_hello, read_frame, write_frame, Client, Codec, Endpoint, Request, RequestBody, Response,
-    Server, ServerConfig, ServiceError, BINARY_VERSION, MAX_FRAME,
+    encode_hello, is_binary_hello, read_frame, write_frame, Client, Codec, Endpoint, Request,
+    RequestBody, Response, SanitizeSpec, Server, ServerConfig, ServiceError, BINARY_VERSION,
+    MAX_FRAME,
 };
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
-fn start(json_only: bool) -> Server {
+fn start() -> Server {
     Server::start(ServerConfig {
         workers: 2,
-        json_only,
         ..ServerConfig::default()
     })
     .expect("server boots")
@@ -68,7 +69,7 @@ fn ping_on(stream: &mut TcpStream, id: u64, context: &str) {
 /// usable.
 #[test]
 fn zero_length_frame_gets_typed_malformed_and_connection_survives() {
-    let server = start(false);
+    let server = start();
     let mut stream = raw_connect(&server);
 
     write_frame(&mut stream, b"").expect("write empty frame");
@@ -95,7 +96,7 @@ fn zero_length_frame_gets_typed_malformed_and_connection_survives() {
 /// and the daemon keeps serving fresh connections.
 #[test]
 fn oversized_length_prefix_closes_connection_but_daemon_survives() {
-    let server = start(false);
+    let server = start();
     let mut stream = raw_connect(&server);
 
     let oversized = (MAX_FRAME as u32) + 1;
@@ -130,7 +131,7 @@ fn interleaved_partial_frames_on_100_sockets_reassemble_per_connection() {
     const SOCKETS: u64 = 100;
     const CHUNK: usize = 5;
 
-    let server = start(false);
+    let server = start();
     let mut streams: Vec<TcpStream> = (0..SOCKETS).map(|_| raw_connect(&server)).collect();
     let frames: Vec<Vec<u8>> = (0..SOCKETS).map(|i| ping_frame(1000 + i)).collect();
 
@@ -168,16 +169,16 @@ fn interleaved_partial_frames_on_100_sockets_reassemble_per_connection() {
     server.join();
 }
 
-/// Binary magic against a `--json-only` daemon: the daemon answers with
-/// a typed `bad_codec` error *in JSON*, the connection survives, and
-/// subsequent JSON traffic on it works. The high-level client surfaces
-/// the refusal as a connect error.
+/// A binary hello proposing a version the daemon does not speak: the
+/// daemon answers with a typed `bad_codec` error *in JSON*, the
+/// connection survives, and subsequent JSON traffic on it works. The
+/// negotiating client surfaces a refusal as a connect error.
 #[test]
-fn binary_hello_to_json_only_server_gets_bad_codec_and_connection_survives() {
-    let server = start(true);
+fn unknown_binary_version_gets_bad_codec_and_connection_survives() {
+    let server = start();
     let mut stream = raw_connect(&server);
 
-    write_frame(&mut stream, &encode_hello(BINARY_VERSION)).expect("write hello");
+    write_frame(&mut stream, &encode_hello(BINARY_VERSION + 1)).expect("write hello");
     let frame = read_frame(&mut stream)
         .expect("read refusal")
         .expect("daemon closed the connection on a binary hello");
@@ -188,20 +189,58 @@ fn binary_hello_to_json_only_server_gets_bad_codec_and_connection_survives() {
     assert_eq!(
         error,
         ServiceError::BadCodec,
-        "binary hello to a JSON-only daemon must map to `bad_codec`"
+        "a hello of an unknown version must map to `bad_codec`"
     );
 
     // The connection stays open and stays JSON.
     ping_on(&mut stream, 73, "after a refused hello");
 
-    // The negotiating client reports the refusal as an error instead of
-    // silently downgrading.
-    let endpoint = Endpoint::Tcp(server.addr().to_string());
-    let Err(err) = Client::connect_with_codec(&endpoint, None, Codec::Binary) else {
-        panic!("negotiation against a JSON-only daemon must fail");
+    // The negotiating client reports a refusal as an error instead of
+    // silently downgrading. This thread plays a daemon that refuses the
+    // hello.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let refusing = Endpoint::Tcp(listener.local_addr().expect("addr").to_string());
+    let refuser = std::thread::spawn(move || {
+        let (mut peer, _) = listener.accept().expect("accept");
+        let hello = read_frame(&mut peer).expect("read hello").expect("a hello frame");
+        assert!(is_binary_hello(&hello));
+        let refusal = Response::Error {
+            id: 0,
+            error: ServiceError::BadCodec,
+            message: "binary codec refused".into(),
+        };
+        write_frame(&mut peer, &refusal.encode()).expect("write refusal");
+    });
+    let Err(err) = Client::connect_with_codec(&refusing, None, Codec::Binary) else {
+        panic!("negotiation against a refusing daemon must fail");
     };
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("bad_codec"), "{err}");
+    refuser.join().expect("refusing peer");
 
+    let endpoint = Endpoint::Tcp(server.addr().to_string());
+    let mut client = Client::connect(&endpoint).expect("connect");
+    client.shutdown().expect("shutdown");
+    server.join();
+}
+
+/// A sanitize payload width past one byte (257) once went out on the
+/// binary codec truncated to 1 bit. Both codecs must now refuse it with
+/// a typed `malformed` error.
+#[test]
+fn out_of_range_payload_bits_are_malformed_on_both_codecs() {
+    let server = start();
+    let endpoint = Endpoint::Tcp(server.addr().to_string());
+    for codec in [Codec::Json, Codec::Binary] {
+        let mut client = Client::connect_with_codec(&endpoint, None, codec).expect("connect");
+        let spec = SanitizeSpec { payload_bits: 257, ..SanitizeSpec::default() };
+        let response = client.sanitize(vec![spec], None).expect("an answer");
+        assert!(
+            matches!(response, Response::Error { error: ServiceError::Malformed, .. }),
+            "{}: expected `malformed`, got {response:?}",
+            codec.name()
+        );
+    }
     let mut client = Client::connect(&endpoint).expect("connect");
     client.shutdown().expect("shutdown");
     server.join();
