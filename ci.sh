@@ -10,8 +10,9 @@
 #    checker; no daemons), which also compile `benchmark/` against the
 #    current library APIs
 # 3. service smoke: boot the obfuscation daemon on an ephemeral loopback
-#    port, round-trip a protect-and-print job, an authenticate verdict,
-#    the metrics snapshot, and a small byte-verified load run through
+#    port, round-trip a protect-and-print job, an authenticate verdict
+#    and the metrics snapshot on both wire codecs, and a small
+#    byte-verified load run through
 #    `submit --port-file` (which polls for the daemon's address itself —
 #    the boot race the old external wait loop papered over), then drain
 #    the daemon with a `shutdown` request and wait for it.
@@ -59,6 +60,13 @@ SERVE_PID=$!
 ./target/release/obfuscade submit --port-file target/serve.addr --kind run
 ./target/release/obfuscade submit --port-file target/serve.addr --kind authenticate
 ./target/release/obfuscade submit --port-file target/serve.addr --kind stats
+# The same three on the negotiated binary codec: with the detect stage
+# below, every job and stats request kind crosses a live daemon on both
+# codecs.
+./target/release/obfuscade submit --port-file target/serve.addr --kind run --codec binary
+./target/release/obfuscade submit --port-file target/serve.addr --kind authenticate \
+    --codec binary
+./target/release/obfuscade submit --port-file target/serve.addr --kind stats --codec binary
 ./target/release/obfuscade submit --port-file target/serve.addr --load 24 --concurrency 4
 # The same load again on the negotiated binary codec: byte-verified
 # against the same in-process reference, so both codecs must serve

@@ -18,7 +18,7 @@ use am_slicer::{
     orient_shells, parse_gcode, to_gcode, try_generate_toolpath, try_slice_shells, Orientation,
     SlicerConfig,
 };
-use obfuscade::{run_pipeline_with_faults, FaultPlan, FeaSolver, ProcessPlan};
+use obfuscade::{run_pipeline_with_faults, FaultPlan, ProcessPlan};
 
 /// CLI usage text.
 pub const USAGE: &str = "\
@@ -67,8 +67,6 @@ COMMANDS:
                      [--threads N]              thread budget (default: all cores)
                      [--seed N]                 process seed (default 1)
                      [--tensile]                also run the virtual tensile test per key
-                     [--solver SOLVER]          tensile equilibrium solver:
-                                                newton-pcg (default) | relaxation
                      [--cache-stats]            print the unified metrics snapshot
                                                 (stage cache, solver pool, solver work)
     serve          run the obfuscation daemon: a length-prefixed JSON protocol
@@ -139,7 +137,7 @@ COMMANDS:
                      job flags for run/authenticate:
                        [--part bar|bracket|prism] [--intact] [--seed N]
                        [--resolution coarse|fine|custom] [--orientation xy|xz]
-                       [--tensile] [--solver SOLVER] [--layer MM]
+                       [--tensile] [--layer MM]
                        [--faults PLAN] [--fault-seed N] [--deadline-ms MS]
                      flags for --kind detect:
                        [--quality lab|smartphone|room]  capture preset (default
@@ -229,13 +227,6 @@ fn resolution_flag(flags: &HashMap<String, String>) -> Result<Resolution, String
         "fine" => Ok(Resolution::Fine),
         "custom" => Ok(Resolution::Custom),
         other => Err(format!("unknown resolution `{other}` (coarse|fine|custom)")),
-    }
-}
-
-fn solver_flag(flags: &HashMap<String, String>) -> Result<FeaSolver, String> {
-    match flags.get("solver") {
-        Some(v) => v.parse(),
-        None => Ok(FeaSolver::default()),
     }
 }
 
@@ -611,14 +602,14 @@ pub fn report(args: &[String]) -> CliResult {
 /// shared stage prefixes (the same recipe meshed at the same resolution)
 /// computed exactly once via the content-addressed stage cache. With
 /// `--tensile` each key's artifact also goes through the virtual tensile
-/// test under the `--solver` of choice, replicates drawing their solver
-/// scratch from the process-wide pool. With `--cache-stats` the cache
-/// (and, under `--tensile`, solver-pool) counters are printed so the
-/// prefix sharing and state reuse are observable.
+/// test, replicates drawing their solver scratch from the process-wide
+/// pool. With `--cache-stats` the cache (and, under `--tensile`,
+/// solver-pool) counters are printed so the prefix sharing and state
+/// reuse are observable.
 pub fn sweep(args: &[String]) -> CliResult {
     use obfuscade::{sweep_key_space, EmbeddedSphereScheme, ProcessKey, StageCache};
     let (positional, flags) =
-        parse_flags(args, &["threads", "seed", "tensile", "solver", "cache-stats"])?;
+        parse_flags(args, &["threads", "seed", "tensile", "cache-stats"])?;
     if let Some(extra) = positional.first() {
         return Err(format!("unexpected argument `{extra}`"));
     }
@@ -636,13 +627,10 @@ pub fn sweep(args: &[String]) -> CliResult {
         .transpose()?
         .unwrap_or(1);
     let tensile = flags.contains_key("tensile");
-    let solver = solver_flag(&flags)?;
 
     let scheme = EmbeddedSphereScheme::default();
-    let base = ProcessPlan::fdm(Resolution::Fine, Orientation::Xy)
-        .with_seed(seed)
-        .with_tensile(tensile)
-        .with_fea_solver(solver);
+    let base =
+        ProcessPlan::fdm(Resolution::Fine, Orientation::Xy).with_seed(seed).with_tensile(tensile);
     let keys = ProcessKey::key_space();
     let cache = StageCache::default();
     let start = std::time::Instant::now();
@@ -680,9 +668,8 @@ pub fn sweep(args: &[String]) -> CliResult {
         }
     }
     println!(
-        "\n{} keys evaluated in {elapsed_ms:.0} ms ({threads} thread(s){})",
-        results.len(),
-        if tensile { format!(", {solver} tensile solver") } else { String::new() }
+        "\n{} keys evaluated in {elapsed_ms:.0} ms ({threads} thread(s))",
+        results.len()
     );
     if flags.contains_key("cache-stats") {
         // One snapshot, one renderer: the same unified metrics surface
@@ -945,9 +932,6 @@ fn job_spec_flags(flags: &HashMap<String, String>) -> Result<am_service::JobSpec
         job.seed = seed;
     }
     job.tensile = flags.contains_key("tensile");
-    if flags.contains_key("solver") {
-        job.solver = solver_flag(flags)?;
-    }
     if let Some(layer) = flags.get("layer") {
         let mm: f64 = layer.parse().map_err(|_| format!("bad --layer value `{layer}`"))?;
         job.layer = Some(mm);
@@ -958,24 +942,38 @@ fn job_spec_flags(flags: &HashMap<String, String>) -> Result<am_service::JobSpec
     if let Some(seed) = u64_flag(flags, "fault-seed")? {
         job.fault_seed = seed;
     }
-    // Round-trip through the wire encoding so bad part names or fault
-    // specs fail here, client-side, with the same message the daemon
-    // would produce.
+    // Bad part names or fault specs fail here, client-side, with the
+    // same message the daemon would produce.
     job.build_part()?;
     job.fault_plan()?;
     Ok(job)
 }
 
+/// Refuses, before any connection, a request the wire would not carry
+/// exactly: it must decode from its own JSON value, through the decoder
+/// both codecs share, back to itself. An integer flag at or above 2^53
+/// fails here instead of reaching the daemon as another job.
+fn check_wire_round_trip(body: &am_service::RequestBody) -> CliResult {
+    let request = am_service::Request { id: 1, body: body.clone() };
+    match am_service::Request::from_json(request.to_json()) {
+        Ok(decoded) if decoded == request => Ok(()),
+        Ok(_) => Err("the request does not survive the wire encoding".to_string()),
+        Err(e) => Err(format!("the wire cannot carry this request: {e}")),
+    }
+}
+
 /// `obfuscade submit` — one request to a running daemon, or a whole
 /// verified load run with `--load N`.
 pub fn submit(args: &[String]) -> CliResult {
-    use am_service::{expected_results_wire, run_load_with, Client, Response, RetryingClient};
+    use am_service::{
+        expected_results_wire, run_load_with, Client, RequestBody, Response, RetryingClient,
+    };
     use obfuscade::json::Json;
     let (positional, flags) = parse_flags(
         args,
         &[
             "addr", "uds", "port-file", "retries", "kind", "codec", "part", "intact", "seed",
-            "resolution", "orientation", "tensile", "solver", "layer", "faults", "fault-seed",
+            "resolution", "orientation", "tensile", "layer", "faults", "fault-seed",
             "deadline-ms", "quality", "jam", "trace-seed", "payload-seed", "payload-bits",
             "verify", "load", "concurrency",
         ],
@@ -1010,6 +1008,7 @@ pub fn submit(args: &[String]) -> CliResult {
     if let Some(total) = u64_flag(&flags, "load")? {
         let concurrency = usize_flag(&flags, "concurrency", 4)?.max(1);
         let jobs = vec![job];
+        check_wire_round_trip(&RequestBody::Run { jobs: jobs.clone(), deadline_ms: None })?;
         let expected = expected_results_wire(&jobs)?;
         let report =
             run_load_with(&endpoint, total, concurrency, &jobs, Some(&expected), &policy, codec);
@@ -1041,48 +1040,14 @@ pub fn submit(args: &[String]) -> CliResult {
         return Ok(());
     }
 
-    // `ping` and `shutdown` stay on the plain client: ping is the
-    // liveness probe (retrying would mask exactly what it measures) and
-    // shutdown must never be resent.
-    let mut retrying = RetryingClient::new_with_codec(&endpoint, policy, codec);
-    match flags.get("kind").map(String::as_str).unwrap_or("run") {
-        "ping" => {
-            let mut client = Client::connect_with_codec(&endpoint, None, codec)
-                .map_err(|e| format!("connect: {e}"))?;
-            client.ping()?;
-            println!("pong");
-        }
-        "stats" => {
-            println!("{}", retrying.stats()?.render());
-        }
-        "shutdown" => {
-            let mut client = Client::connect_with_codec(&endpoint, None, codec)
-                .map_err(|e| format!("connect: {e}"))?;
-            let completed = client.shutdown()?;
-            println!("daemon drained and stopped ({completed} jobs completed over its lifetime)");
-        }
-        "run" => match retrying.run(&[job], deadline_ms)? {
-            Response::Results { results, .. } => println!("{}", Json::Array(results).render()),
-            Response::Error { error, message, .. } => {
-                return Err(format!("{}: {message}", error.name()))
-            }
-            other => return Err(format!("unexpected response {other:?}")),
-        },
-        "authenticate" => match retrying.authenticate(&job, deadline_ms)? {
-            Response::Verdict { verdict, cold_joint_mm2, void_mm3, .. } => println!(
-                "{verdict} (cold joints {cold_joint_mm2:.1} mm², voids {void_mm3:.1} mm³)"
-            ),
-            Response::Error { error, message, .. } => {
-                return Err(format!("{}: {message}", error.name()))
-            }
-            other => return Err(format!("unexpected response {other:?}")),
-        },
-        // PR 10: side-channel detection and stego sanitization, served as
-        // batch jobs. `--verify` re-runs the job in-process through
-        // `am-detect` and byte-compares the served reports against it —
-        // the CI detect stage's contract check.
-        "detect" => {
-            let spec = am_service::DetectSpec {
+    let body = match flags.get("kind").map(String::as_str).unwrap_or("run") {
+        "ping" => RequestBody::Ping,
+        "stats" => RequestBody::Stats,
+        "shutdown" => RequestBody::Shutdown,
+        "run" => RequestBody::Run { jobs: vec![job], deadline_ms },
+        "authenticate" => RequestBody::Authenticate { job, deadline_ms },
+        "detect" => RequestBody::Detect {
+            jobs: vec![am_service::DetectSpec {
                 job,
                 quality: flags
                     .get("quality")
@@ -1090,8 +1055,70 @@ pub fn submit(args: &[String]) -> CliResult {
                     .unwrap_or_else(|| am_service::DetectSpec::default().quality),
                 jam_amplitude: f64_flag(&flags, "jam")?.unwrap_or(0.0),
                 trace_seed: u64_flag(&flags, "trace-seed")?.unwrap_or(1),
-            };
-            let jobs = vec![spec];
+            }],
+            deadline_ms,
+        },
+        "sanitize" => RequestBody::Sanitize {
+            jobs: vec![am_service::SanitizeSpec {
+                job,
+                payload_seed: u64_flag(&flags, "payload-seed")?
+                    .unwrap_or(am_service::SanitizeSpec::default().payload_seed),
+                payload_bits,
+            }],
+            deadline_ms,
+        },
+        other => {
+            return Err(format!(
+                "unknown request kind `{other}` \
+                 (ping|stats|run|authenticate|detect|sanitize|shutdown)"
+            ))
+        }
+    };
+    check_wire_round_trip(&body)?;
+
+    // `ping` and `shutdown` stay on the plain client: ping is the
+    // liveness probe (retrying would mask exactly what it measures) and
+    // shutdown must never be resent.
+    let mut retrying = RetryingClient::new_with_codec(&endpoint, policy, codec);
+    match body {
+        RequestBody::Ping => {
+            let mut client = Client::connect_with_codec(&endpoint, None, codec)
+                .map_err(|e| format!("connect: {e}"))?;
+            client.ping()?;
+            println!("pong");
+        }
+        RequestBody::Stats => {
+            println!("{}", retrying.stats()?.render());
+        }
+        RequestBody::Shutdown => {
+            let mut client = Client::connect_with_codec(&endpoint, None, codec)
+                .map_err(|e| format!("connect: {e}"))?;
+            let completed = client.shutdown()?;
+            println!("daemon drained and stopped ({completed} jobs completed over its lifetime)");
+        }
+        RequestBody::Run { jobs, deadline_ms } => match retrying.run(&jobs, deadline_ms)? {
+            Response::Results { results, .. } => println!("{}", Json::Array(results).render()),
+            Response::Error { error, message, .. } => {
+                return Err(format!("{}: {message}", error.name()))
+            }
+            other => return Err(format!("unexpected response {other:?}")),
+        },
+        RequestBody::Authenticate { job, deadline_ms } => {
+            match retrying.authenticate(&job, deadline_ms)? {
+                Response::Verdict { verdict, cold_joint_mm2, void_mm3, .. } => println!(
+                    "{verdict} (cold joints {cold_joint_mm2:.1} mm², voids {void_mm3:.1} mm³)"
+                ),
+                Response::Error { error, message, .. } => {
+                    return Err(format!("{}: {message}", error.name()))
+                }
+                other => return Err(format!("unexpected response {other:?}")),
+            }
+        }
+        // Side-channel detection and stego sanitization, served as batch
+        // jobs. `--verify` re-runs the job in-process through `am-detect`
+        // and byte-compares the served reports against it — the CI
+        // detect stage's contract check.
+        RequestBody::Detect { jobs, deadline_ms } => {
             let expected = flags
                 .contains_key("verify")
                 .then(|| am_service::expected_detections_wire(&jobs))
@@ -1108,14 +1135,7 @@ pub fn submit(args: &[String]) -> CliResult {
                 other => return Err(format!("unexpected response {other:?}")),
             }
         }
-        "sanitize" => {
-            let spec = am_service::SanitizeSpec {
-                job,
-                payload_seed: u64_flag(&flags, "payload-seed")?
-                    .unwrap_or(am_service::SanitizeSpec::default().payload_seed),
-                payload_bits,
-            };
-            let jobs = vec![spec];
+        RequestBody::Sanitize { jobs, deadline_ms } => {
             let expected = flags
                 .contains_key("verify")
                 .then(|| am_service::expected_sanitize_wire(&jobs))
@@ -1131,12 +1151,6 @@ pub fn submit(args: &[String]) -> CliResult {
                 }
                 other => return Err(format!("unexpected response {other:?}")),
             }
-        }
-        other => {
-            return Err(format!(
-                "unknown request kind `{other}` \
-                 (ping|stats|run|authenticate|detect|sanitize|shutdown)"
-            ))
         }
     }
     Ok(())
@@ -1357,14 +1371,16 @@ mod tests {
                 command(&["--cache-mbs".into(), "1".into(), "extra".into()]).expect_err(name);
             assert!(err.starts_with("unknown flag `--cache-mbs`"), "{name}: {err}");
         }
-        // The retired connection-backend choice and JSON-only switch fail
-        // like a typo, so a stale script gets the typed error instead of a
-        // silent default.
-        let retired: [(&str, Command, &[&str]); 4] = [
+        // The retired connection-backend choice, JSON-only switch and
+        // per-job tensile solver fail like a typo, so a stale script gets
+        // the typed error instead of a silent default.
+        let retired: [(&str, Command, &[&str]); 6] = [
             ("serve", serve, &["--backend", "reactor"]),
             ("route", route, &["--backend", "threads"]),
             ("serve", serve, &["--json-only"]),
             ("route", route, &["--json-only"]),
+            ("sweep", sweep, &["--solver", "relaxation"]),
+            ("submit", submit, &["--solver", "relaxation"]),
         ];
         for (name, command, flag) in retired {
             let mut args: Vec<String> = flag.iter().map(|a| a.to_string()).collect();
@@ -1438,6 +1454,25 @@ mod tests {
             let args = ["--kind", "sanitize", "--payload-bits", bad].map(String::from);
             let err = submit(&args).expect_err("payload width must be rejected");
             assert!(err.contains("--payload-bits") && err.contains("1..=8"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn submit_refuses_integers_the_wire_would_round() {
+        // 2^53 + 1 reaches the wire as the f64 2^53. Each case is refused
+        // before a connection is tried: the closed port would otherwise
+        // answer with a connect failure.
+        let cases: [&[&str]; 4] = [
+            &["--seed", "9007199254740993"],
+            &["--kind", "detect", "--trace-seed", "9007199254740993"],
+            &["--load", "1", "--fault-seed", "9007199254740992"],
+            &["--kind", "sanitize", "--deadline-ms", "18446744073709551615"],
+        ];
+        for case in cases {
+            let mut args: Vec<String> = case.iter().map(|a| a.to_string()).collect();
+            args.extend(["--addr", "127.0.0.1:1", "--retries", "1"].map(String::from));
+            let err = submit(&args).expect_err("an integer from 2^53 up must be refused");
+            assert!(err.contains("below 2^53"), "{case:?}: {err}");
         }
     }
 

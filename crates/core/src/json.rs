@@ -18,8 +18,8 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number, as an `f64`. Integers survive exactly up to 2^53;
-    /// the wire protocol documents that bound for its counters and ids.
+    /// Any JSON number, as an `f64`. Integers survive exactly below 2^53;
+    /// [`Json::as_u64`] refuses the rest.
     Number(f64),
     /// A string (escapes already resolved).
     String(String),
@@ -72,14 +72,13 @@ impl Json {
     }
 
     /// The number value as a non-negative integer, if this is a number
-    /// with an exact integral value in `u64` range.
+    /// with an integral value below 2^53. Every `u64` at or above 2^53
+    /// becomes an `f64` at or above 2^53, so an integer the `f64` could
+    /// have rounded is refused, never read back as a neighbour.
     pub fn as_u64(&self) -> Option<u64> {
+        const LIMIT: f64 = 9_007_199_254_740_992.0; // 2^53
         let v = self.as_number()?;
-        if v.is_finite() && v >= 0.0 && v.fract() == 0.0 && v <= u64::MAX as f64 {
-            Some(v as u64)
-        } else {
-            None
-        }
+        ((0.0..LIMIT).contains(&v) && v.fract() == 0.0).then_some(v as u64)
     }
 
     /// Builds a string value (convenience over `Json::String(x.into())`).
@@ -87,8 +86,8 @@ impl Json {
         Json::String(s.into())
     }
 
-    /// Builds a number value from an unsigned counter. Values above 2^53
-    /// lose precision — the wire protocol's documented integer bound.
+    /// Builds a number value from an unsigned counter. Values at or above
+    /// 2^53 may round, and [`Json::as_u64`] refuses them.
     pub fn u64(v: u64) -> Json {
         Json::Number(v as f64)
     }
@@ -464,5 +463,12 @@ mod tests {
         assert_eq!(Json::Number(4.2).as_u64(), None);
         assert_eq!(Json::Number(-1.0).as_u64(), None);
         assert_eq!(Json::Null.as_u64(), None);
+        // Integers from 2^53 up are refused, not rounded or saturated.
+        assert_eq!(Json::u64((1 << 53) - 1).as_u64(), Some((1 << 53) - 1));
+        assert_eq!(Json::u64(1 << 53).as_u64(), None);
+        assert_eq!(Json::u64((1 << 53) + 1).as_u64(), None);
+        assert_eq!(Json::u64(u64::MAX).as_u64(), None);
+        assert_eq!(Json::Number(f64::INFINITY).as_u64(), None);
+        assert_eq!(Json::Number(f64::NAN).as_u64(), None);
     }
 }

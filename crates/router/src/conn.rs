@@ -6,10 +6,11 @@
 //! frame writes under a mutex, a dedicated reader thread decodes every
 //! response frame and hands it to the caller waiting on that request id,
 //! and ids are process-unique so two router workers sharing one
-//! connection can never collide. The connection negotiates the compact
-//! binary codec on open and speaks nothing else, so the router-to-backend
-//! hop pays binary framing costs, not JSON ones; a backend that refuses
-//! the hello fails the open like one that refuses the connection.
+//! connection can never collide. The connection negotiates the binary
+//! codec on open and speaks nothing else, so the router-to-backend hop
+//! carries floats as raw bits instead of formatting and parsing them as
+//! text; a backend that refuses the hello fails the open like one that
+//! refuses the connection.
 //!
 //! Death is explicit and sticky: a transport error, an undecodable
 //! frame, a response timeout, or EOF marks the connection dead, wakes

@@ -452,21 +452,13 @@ fn retryable(response: &Response) -> bool {
 /// idempotent: the pipeline is deterministic and content-addressed, so
 /// a duplicated execution produces byte-identical results. Requests
 /// with side effects (`shutdown`) are deliberately not offered here.
-///
-/// Built over **one or more** endpoints: when a connection cannot be
-/// established at the active endpoint, the client rotates to the next
-/// one (a `failover`) before retrying — the client-side analogue of the
-/// router tier's node failover, and safe for the same idempotency
-/// reason. Single-endpoint clients never fail over.
 pub struct RetryingClient {
-    endpoints: Vec<Endpoint>,
-    active: usize,
+    endpoint: Endpoint,
     policy: RetryPolicy,
     codec: Codec,
     conn: Option<Client>,
     retries: u64,
     connects: u64,
-    failovers: u64,
 }
 
 impl RetryingClient {
@@ -485,31 +477,13 @@ impl RetryingClient {
         policy: RetryPolicy,
         codec: Codec,
     ) -> RetryingClient {
-        RetryingClient::new_multi_with_codec(std::slice::from_ref(endpoint), policy, codec)
-    }
-
-    /// A client over several equivalent endpoints (e.g. the daemons of a
-    /// routed fleet, addressed directly): connection failures rotate to
-    /// the next endpoint instead of burning every attempt on a dead one.
-    ///
-    /// # Panics
-    ///
-    /// When `endpoints` is empty.
-    pub fn new_multi_with_codec(
-        endpoints: &[Endpoint],
-        policy: RetryPolicy,
-        codec: Codec,
-    ) -> RetryingClient {
-        assert!(!endpoints.is_empty(), "a RetryingClient needs at least one endpoint");
         RetryingClient {
-            endpoints: endpoints.to_vec(),
-            active: 0,
+            endpoint: endpoint.clone(),
             policy,
             codec,
             conn: None,
             retries: 0,
             connects: 0,
-            failovers: 0,
         }
     }
 
@@ -524,31 +498,6 @@ impl RetryingClient {
     /// each transport-failure reconnect adds one.
     pub fn connects(&self) -> u64 {
         self.connects
-    }
-
-    /// Connections established beyond the first — the chaos-forced
-    /// portion of [`RetryingClient::connects`]; 0 for a healthy run.
-    pub fn reconnects(&self) -> u64 {
-        self.connects.saturating_sub(1)
-    }
-
-    /// Times this client rotated to another endpoint after failing to
-    /// connect to the active one. Always 0 for single-endpoint clients.
-    pub fn failovers(&self) -> u64 {
-        self.failovers
-    }
-
-    /// The endpoint the next connection attempt will target.
-    pub fn active_endpoint(&self) -> &Endpoint {
-        &self.endpoints[self.active]
-    }
-
-    /// Rotates to the next endpoint after a connect failure.
-    fn fail_over(&mut self) {
-        if self.endpoints.len() > 1 {
-            self.active = (self.active + 1) % self.endpoints.len();
-            self.failovers += 1;
-        }
     }
 
     /// Establishes the connection now, retrying with backoff per the
@@ -567,17 +516,14 @@ impl RetryingClient {
             if self.conn.is_some() {
                 return Ok(());
             }
-            let endpoint = &self.endpoints[self.active];
-            match Client::connect_with_codec(endpoint, Some(self.policy.timeout), self.codec) {
+            match Client::connect_with_codec(&self.endpoint, Some(self.policy.timeout), self.codec)
+            {
                 Ok(client) => {
                     self.connects += 1;
                     self.conn = Some(client);
                     return Ok(());
                 }
-                Err(err) => {
-                    last = err.to_string();
-                    self.fail_over();
-                }
+                Err(err) => last = err.to_string(),
             }
         }
         Err(format!(
@@ -671,9 +617,8 @@ impl RetryingClient {
             let client = match self.conn {
                 Some(ref mut client) => client,
                 None => {
-                    let endpoint = self.endpoints[self.active].clone();
                     match Client::connect_with_codec(
-                        &endpoint,
+                        &self.endpoint,
                         Some(self.policy.timeout),
                         self.codec,
                     ) {
@@ -683,7 +628,6 @@ impl RetryingClient {
                         }
                         Err(err) => {
                             last = format!("connect failed: {err}");
-                            self.fail_over();
                             continue;
                         }
                     }
@@ -734,14 +678,6 @@ pub struct LoadReport {
     /// exactly `concurrency`; anything above that is chaos-forced
     /// reconnects.
     pub connects: u64,
-    /// Connections established beyond each thread's first — the
-    /// chaos-forced portion of `connects`, summed across threads. 0 for
-    /// a healthy run regardless of concurrency.
-    pub reconnects: u64,
-    /// Times a worker's client rotated to another endpoint after a
-    /// connect failure. Always 0 for single-endpoint loads; nonzero only
-    /// when the load was pointed at several fleet endpoints directly.
-    pub failovers: u64,
     /// Per-request round-trip latencies, sorted ascending (ms).
     pub latencies_ms: Vec<f64>,
     /// Wall-clock duration of the whole run (s).
@@ -959,8 +895,6 @@ pub fn run_load_with(
 fn merge_client_counters(report: &mut LoadReport, client: &RetryingClient) {
     report.retries += client.retries();
     report.connects += client.connects();
-    report.reconnects += client.reconnects();
-    report.failovers += client.failovers();
 }
 
 #[cfg(test)]
@@ -1004,31 +938,6 @@ mod tests {
             (0..8).any(|r| policy.backoff(r) != other.backoff(r)),
             "distinct jitter seeds produced identical schedules"
         );
-    }
-
-    #[test]
-    fn multi_endpoint_client_fails_over_between_dead_endpoints() {
-        let policy = RetryPolicy {
-            attempts: 3,
-            timeout: Duration::from_millis(200),
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(2),
-            jitter: Duration::from_millis(1),
-            jitter_seed: 1,
-        };
-        // Two ports from the low range nothing in the suite binds.
-        let endpoints =
-            [Endpoint::Tcp("127.0.0.1:1".to_string()), Endpoint::Tcp("127.0.0.1:2".to_string())];
-        let mut client = RetryingClient::new_multi_with_codec(&endpoints, policy, Codec::Json);
-        let err = client.run(&[JobSpec::default()], None).unwrap_err();
-        assert!(err.contains("gave up after 3 attempts"), "{err}");
-        // Every failed connect rotated to the other endpoint.
-        assert_eq!(client.failovers(), 3);
-        assert_eq!(client.reconnects(), 0);
-        // A single-endpoint client never fails over.
-        let mut single = RetryingClient::new(&endpoints[0], policy);
-        let _ = single.run(&[JobSpec::default()], None).unwrap_err();
-        assert_eq!(single.failovers(), 0);
     }
 
     #[test]

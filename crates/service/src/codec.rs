@@ -1,6 +1,6 @@
-//! The negotiated wire codecs: JSON (the compatibility default) and a
-//! compact binary encoding that skips float rendering/parsing on the hot
-//! serve path.
+//! The negotiated wire codecs: JSON text (the compatibility default) and
+//! a binary spelling of the same JSON values that skips float rendering
+//! and parsing on the hot serve path.
 //!
 //! # Negotiation
 //!
@@ -22,42 +22,33 @@
 //!
 //! # Binary encoding
 //!
-//! The shared [`obfuscade::bytes`] codec: fixed-width little-endian
-//! scalars, strict 0/1 bools, `u32`-length-prefixed UTF-8 strings and
-//! sequences, plus one leading tag byte per request/response kind and per
-//! [`Json`] value — see DESIGN.md §14 for the byte-level layout. The
-//! encoding is a pure function of the decoded value (like the canonical
-//! JSON rendering), so equal values produce byte-identical frames and
-//! the wire-equivalence suite can compare across codecs by comparing
-//! decoded values. Floats travel as raw IEEE-754 bits (`f64::to_bits`),
-//! which both avoids the shortest-round-trip formatting cost that
-//! dominates JSON serve time and makes the round trip exact by
-//! construction.
-//!
-//! Decoding is **zero-copy until ownership is needed**: [`ByteReader`]
-//! hands out `&str`/`&[u8]` slices borrowed straight from the frame
-//! payload (UTF-8 validated in place, every length prefix checked against
-//! the remaining bytes before any allocation), and only the retained
-//! fields of the final owned [`Request`]/[`Response`] are copied out of
-//! the buffer.
+//! One message model, two spellings. [`crate::protocol`] defines every
+//! message once, as a JSON value (`to_json` / `from_json`). A binary
+//! payload is that value in a tagged syntax ([`put_json`]): one tag byte
+//! per value, numbers as raw IEEE-754 bits, strings, arrays and objects
+//! behind `u32` length prefixes, over the shared [`obfuscade::bytes`]
+//! codec — see DESIGN.md §14. A binary frame decodes only through
+//! [`read_json`] and the same `from_json` as a JSON frame, so the two
+//! codecs accept the same messages, refuse the rest with the same
+//! errors, and decode a request to the same value. The encoding is a
+//! pure function of the value, so equal values produce byte-identical
+//! frames. What binary still buys is exact floats with no formatting or
+//! parsing, and strings with no escaping; field names travel in both
+//! spellings, so binary requests are no smaller than JSON ones.
 
 use std::io::{Read, Write};
 
 use obfuscade::bytes::{ByteReader, ByteWriter};
 use obfuscade::json::Json;
 
-use crate::protocol::{
-    read_frame, write_frame, DetectSpec, JobSpec, Request, RequestBody, Response, SanitizeSpec,
-    ServiceError, MAX_FRAME,
-};
-use am_mesh::Resolution;
-use am_slicer::Orientation;
+use crate::protocol::{read_frame, write_frame, Request, Response};
 
 /// First four bytes of a binary hello/ack frame. `0x4F 0x42 0x46 0x42`.
 pub const BINARY_MAGIC: [u8; 4] = *b"OBFB";
 
-/// The binary codec version this build speaks.
-pub const BINARY_VERSION: u8 = 1;
+/// The binary codec version this build speaks. Version 2 carries each
+/// message's JSON value; version 1's hand-laid structs are not spoken.
+pub const BINARY_VERSION: u8 = 2;
 
 /// A wire codec for request/response payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -66,7 +57,7 @@ pub enum Codec {
     /// default for clients that never negotiate.
     #[default]
     Json,
-    /// The negotiated compact binary encoding.
+    /// The negotiated binary spelling of the same JSON values.
     Binary,
 }
 
@@ -96,7 +87,7 @@ impl Codec {
     pub fn encode_request(&self, request: &Request) -> Vec<u8> {
         match self {
             Codec::Json => request.encode(),
-            Codec::Binary => encode_request_binary(request),
+            Codec::Binary => encode_binary(&request.to_json()),
         }
     }
 
@@ -108,7 +99,7 @@ impl Codec {
     pub fn decode_request(&self, payload: &[u8]) -> Result<Request, String> {
         match self {
             Codec::Json => Request::decode(payload),
-            Codec::Binary => decode_request_binary(payload),
+            Codec::Binary => Request::from_json(decode_binary(payload)?),
         }
     }
 
@@ -116,7 +107,7 @@ impl Codec {
     pub fn encode_response(&self, response: &Response) -> Vec<u8> {
         match self {
             Codec::Json => response.encode(),
-            Codec::Binary => encode_response_binary(response),
+            Codec::Binary => encode_binary(&response.to_json()),
         }
     }
 
@@ -128,7 +119,7 @@ impl Codec {
     pub fn decode_response(&self, payload: &[u8]) -> Result<Response, String> {
         match self {
             Codec::Json => Response::decode(payload),
-            Codec::Binary => decode_response_binary(payload),
+            Codec::Binary => Response::from_json(decode_binary(payload)?),
         }
     }
 }
@@ -248,16 +239,6 @@ pub fn read_json(r: &mut ByteReader<'_>) -> Result<Json, String> {
     read_json_at(r, 0)
 }
 
-/// A length-prefixed sequence of binary [`Json`] values.
-fn read_json_seq(r: &mut ByteReader<'_>) -> Result<Vec<Json>, String> {
-    let n = r.seq_len(1)?;
-    let mut items = Vec::with_capacity(n);
-    for _ in 0..n {
-        items.push(read_json(r)?);
-    }
-    Ok(items)
-}
-
 fn read_json_at(r: &mut ByteReader<'_>, depth: u32) -> Result<Json, String> {
     if depth > 128 {
         return Err("binary JSON nests deeper than 128 levels".to_string());
@@ -289,317 +270,31 @@ fn read_json_at(r: &mut ByteReader<'_>, depth: u32) -> Result<Json, String> {
     }
 }
 
-// --- JobSpec ------------------------------------------------------------
-
-fn put_job(w: &mut ByteWriter, job: &JobSpec) {
-    w.str(&job.part);
-    w.bool(job.intact);
-    w.u8(match job.resolution {
-        Resolution::Coarse => 0,
-        Resolution::Fine => 1,
-        Resolution::Custom => 2,
-    });
-    w.u8(match job.orientation {
-        Orientation::Xy => 0,
-        Orientation::Xz => 1,
-    });
-    w.u64(job.seed);
-    w.bool(job.tensile);
-    w.str(job.solver.name());
-    w.option(job.layer, ByteWriter::f64);
-    w.str(&job.faults);
-    w.u64(job.fault_seed);
-}
-
-fn read_job(r: &mut ByteReader<'_>) -> Result<JobSpec, String> {
-    // Every string decodes as a borrowed slice first; only the retained
-    // fields are copied into the owned spec.
-    let part = r.str_ref()?;
-    let intact = r.bool()?;
-    let resolution = match r.u8()? {
-        0 => Resolution::Coarse,
-        1 => Resolution::Fine,
-        2 => Resolution::Custom,
-        other => return Err(format!("unknown resolution tag {other}")),
-    };
-    let orientation = match r.u8()? {
-        0 => Orientation::Xy,
-        1 => Orientation::Xz,
-        other => return Err(format!("unknown orientation tag {other}")),
-    };
-    let seed = r.u64()?;
-    let tensile = r.bool()?;
-    let solver = r.str_ref()?.parse()?;
-    let layer = r.option(ByteReader::f64)?;
-    if layer.is_some_and(|v| !(v.is_finite() && v > 0.0)) {
-        return Err("`layer` must be a positive finite number".to_string());
-    }
-    let faults = r.str_ref()?;
-    let fault_seed = r.u64()?;
-    Ok(JobSpec {
-        part: part.to_string(),
-        intact,
-        resolution,
-        orientation,
-        seed,
-        tensile,
-        solver,
-        layer,
-        faults: faults.to_string(),
-        fault_seed,
-    })
-}
-
-fn put_detect_spec(w: &mut ByteWriter, spec: &DetectSpec) {
-    put_job(w, &spec.job);
-    w.str(&spec.quality);
-    w.f64(spec.jam_amplitude);
-    w.u64(spec.trace_seed);
-}
-
-fn read_detect_spec(r: &mut ByteReader<'_>) -> Result<DetectSpec, String> {
-    let job = read_job(r)?;
-    let quality = r.str_ref()?.to_string();
-    let jam_amplitude = r.f64()?;
-    if !(jam_amplitude.is_finite() && jam_amplitude >= 0.0) {
-        return Err("`jam_amplitude` must be a non-negative number".to_string());
-    }
-    Ok(DetectSpec { job, quality, jam_amplitude, trace_seed: r.u64()? })
-}
-
-fn put_sanitize_spec(w: &mut ByteWriter, spec: &SanitizeSpec) {
-    put_job(w, &spec.job);
-    w.u64(spec.payload_seed);
-    // One byte on the wire: a count past 255 saturates to 255, which the
-    // decoder refuses like every other count outside 1..=8.
-    w.u8(u8::try_from(spec.payload_bits).unwrap_or(u8::MAX));
-}
-
-fn read_sanitize_spec(r: &mut ByteReader<'_>) -> Result<SanitizeSpec, String> {
-    let job = read_job(r)?;
-    let payload_seed = r.u64()?;
-    let payload_bits = u64::from(r.u8()?);
-    if !(1..=8).contains(&payload_bits) {
-        return Err("`payload_bits` must be an integer in 1..=8".to_string());
-    }
-    Ok(SanitizeSpec { job, payload_seed, payload_bits })
-}
-
-// --- requests -----------------------------------------------------------
-
-const RQ_PING: u8 = 0;
-const RQ_STATS: u8 = 1;
-const RQ_SHUTDOWN: u8 = 2;
-const RQ_RUN: u8 = 3;
-const RQ_AUTHENTICATE: u8 = 4;
-const RQ_DETECT: u8 = 5;
-const RQ_SANITIZE: u8 = 6;
-
-/// Binary request payload: kind tag, id, then the kind's fields.
-pub fn encode_request_binary(request: &Request) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(64);
-    w.u8(match &request.body {
-        RequestBody::Ping => RQ_PING,
-        RequestBody::Stats => RQ_STATS,
-        RequestBody::Shutdown => RQ_SHUTDOWN,
-        RequestBody::Run { .. } => RQ_RUN,
-        RequestBody::Authenticate { .. } => RQ_AUTHENTICATE,
-        RequestBody::Detect { .. } => RQ_DETECT,
-        RequestBody::Sanitize { .. } => RQ_SANITIZE,
-    });
-    w.u64(request.id);
-    match &request.body {
-        RequestBody::Ping | RequestBody::Stats | RequestBody::Shutdown => {}
-        RequestBody::Run { jobs, deadline_ms } => {
-            w.seq_len(jobs.len());
-            for job in jobs {
-                put_job(&mut w, job);
-            }
-            w.option(*deadline_ms, ByteWriter::u64);
-        }
-        RequestBody::Authenticate { job, deadline_ms } => {
-            put_job(&mut w, job);
-            w.option(*deadline_ms, ByteWriter::u64);
-        }
-        RequestBody::Detect { jobs, deadline_ms } => {
-            w.seq_len(jobs.len());
-            for spec in jobs {
-                put_detect_spec(&mut w, spec);
-            }
-            w.option(*deadline_ms, ByteWriter::u64);
-        }
-        RequestBody::Sanitize { jobs, deadline_ms } => {
-            w.seq_len(jobs.len());
-            for spec in jobs {
-                put_sanitize_spec(&mut w, spec);
-            }
-            w.option(*deadline_ms, ByteWriter::u64);
-        }
-    }
-    let out = w.into_bytes();
-    debug_assert!(out.len() <= MAX_FRAME);
-    out
-}
-
-/// Decodes a binary request payload.
-///
-/// # Errors
-///
-/// Truncation, unknown tags, malformed fields, or trailing bytes.
-pub fn decode_request_binary(payload: &[u8]) -> Result<Request, String> {
-    let mut r = ByteReader::new(payload);
-    let kind = r.u8()?;
-    let id = r.u64()?;
-    let body = match kind {
-        RQ_PING => RequestBody::Ping,
-        RQ_STATS => RequestBody::Stats,
-        RQ_SHUTDOWN => RequestBody::Shutdown,
-        RQ_RUN => {
-            // A job is ≥ 40 bytes even with empty strings.
-            let n = r.seq_len(40)?;
-            let mut jobs = Vec::with_capacity(n);
-            for _ in 0..n {
-                jobs.push(read_job(&mut r)?);
-            }
-            RequestBody::Run { jobs, deadline_ms: r.option(ByteReader::u64)? }
-        }
-        RQ_AUTHENTICATE => {
-            let job = read_job(&mut r)?;
-            RequestBody::Authenticate { job, deadline_ms: r.option(ByteReader::u64)? }
-        }
-        RQ_DETECT => {
-            // A detect spec carries a job (≥ 40 bytes) plus its capture setup.
-            let n = r.seq_len(60)?;
-            let mut jobs = Vec::with_capacity(n);
-            for _ in 0..n {
-                jobs.push(read_detect_spec(&mut r)?);
-            }
-            RequestBody::Detect { jobs, deadline_ms: r.option(ByteReader::u64)? }
-        }
-        RQ_SANITIZE => {
-            let n = r.seq_len(49)?;
-            let mut jobs = Vec::with_capacity(n);
-            for _ in 0..n {
-                jobs.push(read_sanitize_spec(&mut r)?);
-            }
-            RequestBody::Sanitize { jobs, deadline_ms: r.option(ByteReader::u64)? }
-        }
-        other => return Err(format!("unknown binary request kind {other}")),
-    };
-    r.finish()?;
-    Ok(Request { id, body })
-}
-
-// --- responses ----------------------------------------------------------
-
-const RS_PONG: u8 = 0;
-const RS_STATS: u8 = 1;
-const RS_BYE: u8 = 2;
-const RS_RESULTS: u8 = 3;
-const RS_VERDICT: u8 = 4;
-const RS_ERROR: u8 = 5;
-const RS_DETECTIONS: u8 = 6;
-const RS_SANITIZED: u8 = 7;
-
-fn error_tag(error: ServiceError) -> u8 {
-    match error {
-        ServiceError::Overloaded => 0,
-        ServiceError::ShuttingDown => 1,
-        ServiceError::Malformed => 2,
-        ServiceError::Forbidden => 3,
-        ServiceError::Job => 4,
-        ServiceError::Internal => 5,
-        ServiceError::BadCodec => 6,
-    }
-}
-
-fn error_from_tag(tag: u8) -> Result<ServiceError, String> {
-    Ok(match tag {
-        0 => ServiceError::Overloaded,
-        1 => ServiceError::ShuttingDown,
-        2 => ServiceError::Malformed,
-        3 => ServiceError::Forbidden,
-        4 => ServiceError::Job,
-        5 => ServiceError::Internal,
-        6 => ServiceError::BadCodec,
-        other => return Err(format!("unknown binary error class {other}")),
-    })
-}
-
-/// Binary response payload: kind tag, echoed id, then the kind's fields.
-pub fn encode_response_binary(response: &Response) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(128);
-    w.u8(match response {
-        Response::Pong { .. } => RS_PONG,
-        Response::Stats { .. } => RS_STATS,
-        Response::Bye { .. } => RS_BYE,
-        Response::Results { .. } => RS_RESULTS,
-        Response::Verdict { .. } => RS_VERDICT,
-        Response::Error { .. } => RS_ERROR,
-        Response::Detections { .. } => RS_DETECTIONS,
-        Response::Sanitized { .. } => RS_SANITIZED,
-    });
-    w.u64(response.id());
-    match response {
-        Response::Pong { .. } => {}
-        Response::Stats { metrics, .. } => put_json(&mut w, metrics),
-        Response::Bye { completed, .. } => w.u64(*completed),
-        Response::Results { results: items, .. }
-        | Response::Detections { reports: items, .. }
-        | Response::Sanitized { reports: items, .. } => {
-            w.seq_len(items.len());
-            for item in items {
-                put_json(&mut w, item);
-            }
-        }
-        Response::Verdict { verdict, cold_joint_mm2, void_mm3, .. } => {
-            w.str(verdict);
-            w.f64(*cold_joint_mm2);
-            w.f64(*void_mm3);
-        }
-        Response::Error { error, message, .. } => {
-            w.u8(error_tag(*error));
-            w.str(message);
-        }
-    }
+/// A whole binary payload: one message value.
+fn encode_binary(v: &Json) -> Vec<u8> {
+    let mut w = ByteWriter::with_capacity(256);
+    put_json(&mut w, v);
     w.into_bytes()
 }
 
-/// Decodes a binary response payload.
+/// Reads a whole binary payload as one message value.
 ///
 /// # Errors
 ///
-/// Truncation, unknown tags, malformed fields, or trailing bytes.
-pub fn decode_response_binary(payload: &[u8]) -> Result<Response, String> {
+/// Whatever [`read_json`] refuses, or trailing bytes.
+fn decode_binary(payload: &[u8]) -> Result<Json, String> {
     let mut r = ByteReader::new(payload);
-    let kind = r.u8()?;
-    let id = r.u64()?;
-    let response = match kind {
-        RS_PONG => Response::Pong { id },
-        RS_STATS => Response::Stats { id, metrics: read_json(&mut r)? },
-        RS_BYE => Response::Bye { id, completed: r.u64()? },
-        RS_RESULTS => Response::Results { id, results: read_json_seq(&mut r)? },
-        RS_VERDICT => Response::Verdict {
-            id,
-            verdict: r.str_ref()?.to_string(),
-            cold_joint_mm2: r.f64()?,
-            void_mm3: r.f64()?,
-        },
-        RS_ERROR => {
-            let error = error_from_tag(r.u8()?)?;
-            Response::Error { id, error, message: r.str_ref()?.to_string() }
-        }
-        RS_DETECTIONS => Response::Detections { id, reports: read_json_seq(&mut r)? },
-        RS_SANITIZED => Response::Sanitized { id, reports: read_json_seq(&mut r)? },
-        other => return Err(format!("unknown binary response kind {other}")),
-    };
+    let v = read_json(&mut r)?;
     r.finish()?;
-    Ok(response)
+    Ok(v)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{DetectSpec, JobSpec, RequestBody, SanitizeSpec, ServiceError};
+    use am_mesh::Resolution;
+    use am_slicer::Orientation;
 
     #[test]
     fn hello_frames_round_trip_and_reject_garbage() {
@@ -620,12 +315,11 @@ mod tests {
             intact: true,
             resolution: Resolution::Fine,
             orientation: Orientation::Xz,
-            seed: u64::MAX,
+            seed: (1 << 53) - 1,
             tensile: true,
             layer: None,
             faults: "void-stl stl.degenerate=3".into(),
             fault_seed: 42,
-            ..JobSpec::default()
         };
         for body in [
             RequestBody::Ping,
@@ -640,7 +334,7 @@ mod tests {
                         job: job.clone(),
                         quality: "room".into(),
                         jam_amplitude: 2.5,
-                        trace_seed: u64::MAX,
+                        trace_seed: (1 << 53) - 1,
                     },
                     DetectSpec::default(),
                 ],
@@ -652,11 +346,11 @@ mod tests {
             },
         ] {
             let request = Request { id: 0xdead_beef, body };
-            let payload = encode_request_binary(&request);
-            let decoded = decode_request_binary(&payload).expect("decode");
+            let payload = Codec::Binary.encode_request(&request);
+            let decoded = Codec::Binary.decode_request(&payload).expect("decode");
             assert_eq!(decoded, request);
             // Pure function of the value: re-encoding is byte-identical.
-            assert_eq!(encode_request_binary(&decoded), payload);
+            assert_eq!(Codec::Binary.encode_request(&decoded), payload);
         }
     }
 
@@ -673,7 +367,7 @@ mod tests {
         for response in [
             Response::Pong { id: 1 },
             Response::Stats { id: 2, metrics: nasty.clone() },
-            Response::Bye { id: 3, completed: u64::MAX },
+            Response::Bye { id: 3, completed: (1 << 53) - 1 },
             Response::Results { id: 4, results: vec![nasty, Json::Bool(true)] },
             Response::Verdict {
                 id: 5,
@@ -691,27 +385,11 @@ mod tests {
             },
             Response::Sanitized { id: 8, reports: vec![Json::Null, Json::Bool(false)] },
         ] {
-            let payload = encode_response_binary(&response);
-            let decoded = decode_response_binary(&payload).expect("decode");
+            let payload = Codec::Binary.encode_response(&response);
+            let decoded = Codec::Binary.decode_response(&payload).expect("decode");
             assert_eq!(decoded, response);
-            assert_eq!(encode_response_binary(&decoded), payload);
+            assert_eq!(Codec::Binary.encode_response(&decoded), payload);
         }
-    }
-
-    #[test]
-    fn every_error_class_survives_the_binary_tag_round_trip() {
-        for error in [
-            ServiceError::Overloaded,
-            ServiceError::ShuttingDown,
-            ServiceError::Malformed,
-            ServiceError::Forbidden,
-            ServiceError::Job,
-            ServiceError::Internal,
-            ServiceError::BadCodec,
-        ] {
-            assert_eq!(error_from_tag(error_tag(error)).expect("tag"), error);
-        }
-        assert!(error_from_tag(200).is_err());
     }
 
     #[test]
@@ -720,44 +398,53 @@ mod tests {
             id: 9,
             body: RequestBody::Run { jobs: vec![JobSpec::default()], deadline_ms: None },
         };
-        let payload = encode_request_binary(&request);
+        let payload = Codec::Binary.encode_request(&request);
         for cut in [0, 1, 5, 9, 13, payload.len() - 1] {
             assert!(
-                decode_request_binary(&payload[..cut]).is_err(),
+                Codec::Binary.decode_request(&payload[..cut]).is_err(),
                 "a {cut}-byte prefix must not decode"
             );
         }
         // Trailing bytes are rejected, not ignored.
         let mut padded = payload.clone();
         padded.push(0);
-        assert!(decode_request_binary(&padded).is_err());
+        assert!(Codec::Binary.decode_request(&padded).is_err());
 
-        // A length prefix claiming 500M jobs in a 20-byte frame dies on
-        // the seq_len bound, not in Vec::with_capacity.
-        let mut bomb = vec![RQ_RUN];
-        bomb.extend_from_slice(&7u64.to_le_bytes());
-        bomb.extend_from_slice(&500_000_000u32.to_le_bytes());
-        let err = decode_request_binary(&bomb).expect_err("bomb");
-        assert!(err.contains("elements"), "{err}");
+        // A length prefix claiming 500M fields or elements in a 5-byte
+        // frame dies on the seq_len bound, not in Vec::with_capacity.
+        for tag in [J_OBJECT, J_ARRAY] {
+            let mut bomb = vec![tag];
+            bomb.extend_from_slice(&500_000_000u32.to_le_bytes());
+            let err = Codec::Binary.decode_request(&bomb).expect_err("bomb");
+            assert!(err.contains("elements"), "{err}");
+        }
     }
 
     #[test]
     fn binary_bools_are_canonical() {
-        // A job's `intact` and `tensile` flags are its bools: any byte
-        // other than 0 or 1 in either is a typed error, never `true`.
+        // A job's `intact` and `tensile` flags are its bools, one tag byte
+        // each. A null there, or any byte that is no tag, is a typed
+        // error, never `true`.
         let job = JobSpec { part: "bar".into(), ..JobSpec::default() };
         let request = Request { id: 1, body: RequestBody::Authenticate { job, deadline_ms: None } };
-        let payload = encode_request_binary(&request);
-        // Kind, id, then the part's prefix and 3 bytes: `intact`. Two
-        // tags and the seed later: `tensile`.
-        let intact = 1 + 8 + 4 + 3;
-        let tensile = intact + 1 + 2 + 8;
-        for at in [intact, tensile] {
-            assert_eq!(payload[at], 0, "byte {at} is a false flag");
-            let mut bad = payload.clone();
-            bad[at] = 2;
-            let err = decode_request_binary(&bad).expect_err("byte 2 is not a bool");
-            assert!(err.contains("bad bool byte 2"), "{err}");
+        let payload = Codec::Binary.encode_request(&request);
+        for key in ["intact", "tensile"] {
+            let at = payload
+                .windows(key.len())
+                .position(|w| w == key.as_bytes())
+                .expect("the key is on the wire")
+                + key.len();
+            assert_eq!(payload[at], J_FALSE, "{key} is a false flag");
+            for byte in [J_NULL].into_iter().chain(J_OBJECT + 1..=u8::MAX) {
+                let mut bad = payload.clone();
+                bad[at] = byte;
+                let err = Codec::Binary.decode_request(&bad).expect_err("not a bool");
+                let expected = match byte {
+                    J_NULL => format!("`{key}` must be a bool"),
+                    _ => format!("unknown binary JSON tag {byte}"),
+                };
+                assert!(err.contains(&expected), "{key}, byte {byte}: {err}");
+            }
         }
     }
 
@@ -765,7 +452,9 @@ mod tests {
     fn codec_dispatch_matches_the_underlying_encodings() {
         let request = Request { id: 1, body: RequestBody::Ping };
         assert_eq!(Codec::Json.encode_request(&request), request.encode());
-        assert_eq!(Codec::Binary.encode_request(&request), encode_request_binary(&request));
+        let mut w = ByteWriter::new();
+        put_json(&mut w, &request.to_json());
+        assert_eq!(Codec::Binary.encode_request(&request), w.into_bytes());
         for codec in [Codec::Json, Codec::Binary] {
             let decoded =
                 codec.decode_request(&codec.encode_request(&request)).expect("round trip");
@@ -773,11 +462,5 @@ mod tests {
             assert_eq!(Codec::from_name(codec.name()).expect("name"), codec);
         }
         assert!(Codec::from_name("msgpack").is_err());
-        // The binary encoding is denser than JSON for a real batch.
-        let run = Request {
-            id: 2,
-            body: RequestBody::Run { jobs: vec![JobSpec::default(); 4], deadline_ms: Some(100) },
-        };
-        assert!(Codec::Binary.encode_request(&run).len() < Codec::Json.encode_request(&run).len());
     }
 }

@@ -3,13 +3,13 @@
 //! Turns the batch pipeline engine ([`obfuscade::run_pipeline_jobs`])
 //! into a long-running network service: a daemon speaking a
 //! length-prefixed frame protocol over TCP (and a Unix-domain socket on
-//! Unix) — JSON payloads by default, with a version-negotiated compact
-//! binary codec ([`Codec`]) clients opt into via a magic first frame —
-//! with a bounded job queue in front of a fixed worker pool, one
-//! process-wide shared [`obfuscade::StageCache`], typed `overloaded`
-//! admission rejections, per-request deadlines (budget-checked between
-//! pipeline stages, so nothing half-computed is ever cached), and
-//! drain-then-stop graceful shutdown.
+//! Unix) — JSON payloads by default, with a version-negotiated binary
+//! spelling of the same messages ([`Codec`]) clients opt into via a
+//! magic first frame — with a bounded job queue in front of a fixed
+//! worker pool, one process-wide shared [`obfuscade::StageCache`], typed
+//! `overloaded` admission rejections, per-request deadlines
+//! (budget-checked between pipeline stages, so nothing half-computed is
+//! ever cached), and drain-then-stop graceful shutdown.
 //!
 //! Connections are served by a non-blocking epoll **reactor**
 //! ([`reactor`]): one event-loop thread multiplexing every socket, with

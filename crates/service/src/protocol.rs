@@ -8,11 +8,18 @@
 //! matching response echoes, so a client can pipeline requests on one
 //! connection.
 //!
+//! This module is the one definition of every message: each type's
+//! `to_json` and `from_json` are what both codecs carry and decode
+//! ([`crate::codec`]). Decoding is closed-world — a repeated field, or
+//! a field the message does not read, is an error — and a wire integer
+//! must be below 2^53 ([`Json::as_u64`]).
+//!
 //! The payload encodings are pure functions of the decoded values: equal
 //! results render to byte-identical frames, which is what lets the wire
 //! equivalence suite compare a served batch against an in-process
 //! [`obfuscade::run_pipeline_jobs`] call byte-for-byte.
 
+use std::collections::HashSet;
 use std::io::{self, Read, Write};
 
 use am_cad::parts::{
@@ -23,7 +30,7 @@ use am_cad::{BodyKind, MaterialRemoval, Part};
 use am_mesh::Resolution;
 use am_slicer::{Orientation, SlicerConfig};
 use obfuscade::json::{parse_json, Json};
-use obfuscade::{FaultPlan, FeaSolver, PipelineError, PipelineOutput, ProcessPlan};
+use obfuscade::{FaultPlan, PipelineError, PipelineOutput, ProcessPlan};
 
 /// Hard cap on a single frame payload (8 MiB): far above any real request
 /// or response, low enough that a corrupt length prefix cannot trigger a
@@ -98,8 +105,6 @@ pub struct JobSpec {
     pub seed: u64,
     /// Run the virtual tensile test.
     pub tensile: bool,
-    /// Equilibrium solver for the tensile kernel.
-    pub solver: FeaSolver,
     /// Optional coarse slicing override: sets `layer_height` and
     /// `road_width` to this value and `analysis_cell` to half of it. The
     /// default (0.7 mm) keeps service jobs cheap; send `null` for the
@@ -120,7 +125,6 @@ impl Default for JobSpec {
             orientation: Orientation::Xy,
             seed: 1,
             tensile: false,
-            solver: FeaSolver::default(),
             layer: Some(0.7),
             faults: String::new(),
             fault_seed: 1,
@@ -153,7 +157,6 @@ impl JobSpec {
             ("orientation".into(), Json::str(orientation_name(self.orientation))),
             ("seed".into(), Json::u64(self.seed)),
             ("tensile".into(), Json::Bool(self.tensile)),
-            ("solver".into(), Json::str(self.solver.name())),
             (
                 "layer".into(),
                 match self.layer {
@@ -170,64 +173,40 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// A description of the first malformed field.
-    pub fn from_json(v: &Json) -> Result<JobSpec, String> {
-        let Json::Object(fields) = v else {
-            return Err("job spec must be a JSON object".to_string());
+    /// A description of the first malformed, repeated or unknown field.
+    pub fn from_json(v: Json) -> Result<JobSpec, String> {
+        let mut f = Fields::new(v, "job spec")?;
+        let d = JobSpec::default();
+        let spec = JobSpec {
+            part: f.string("part")?.unwrap_or(d.part),
+            intact: f.bool("intact")?.unwrap_or(d.intact),
+            resolution: match f.string("resolution")?.as_deref() {
+                None => d.resolution,
+                Some("coarse") => Resolution::Coarse,
+                Some("fine") => Resolution::Fine,
+                Some("custom") => Resolution::Custom,
+                Some(other) => {
+                    return Err(format!("unknown resolution `{other}` (coarse|fine|custom)"))
+                }
+            },
+            orientation: match f.string("orientation")?.as_deref() {
+                None => d.orientation,
+                Some("xy") => Orientation::Xy,
+                Some("xz") => Orientation::Xz,
+                Some(other) => return Err(format!("unknown orientation `{other}` (xy|xz)")),
+            },
+            seed: f.u64("seed")?.unwrap_or(d.seed),
+            tensile: f.bool("tensile")?.unwrap_or(d.tensile),
+            layer: match f.take("layer") {
+                None => d.layer,
+                Some(Json::Null) => None,
+                Some(Json::Number(v)) if v.is_finite() && v > 0.0 => Some(v),
+                Some(_) => return Err("`layer` must be null or a positive number".to_string()),
+            },
+            faults: f.string("faults")?.unwrap_or(d.faults),
+            fault_seed: f.u64("fault_seed")?.unwrap_or(d.fault_seed),
         };
-        let mut spec = JobSpec::default();
-        for (name, value) in fields {
-            match name.as_str() {
-                "part" => {
-                    spec.part =
-                        value.as_str().ok_or("`part` must be a string")?.to_string();
-                }
-                "intact" => spec.intact = value.as_bool().ok_or("`intact` must be a bool")?,
-                "resolution" => {
-                    spec.resolution =
-                        match value.as_str().ok_or("`resolution` must be a string")? {
-                            "coarse" => Resolution::Coarse,
-                            "fine" => Resolution::Fine,
-                            "custom" => Resolution::Custom,
-                            other => {
-                                return Err(format!(
-                                    "unknown resolution `{other}` (coarse|fine|custom)"
-                                ))
-                            }
-                        };
-                }
-                "orientation" => {
-                    spec.orientation =
-                        match value.as_str().ok_or("`orientation` must be a string")? {
-                            "xy" => Orientation::Xy,
-                            "xz" => Orientation::Xz,
-                            other => {
-                                return Err(format!("unknown orientation `{other}` (xy|xz)"))
-                            }
-                        };
-                }
-                "seed" => spec.seed = value.as_u64().ok_or("`seed` must be an integer")?,
-                "tensile" => spec.tensile = value.as_bool().ok_or("`tensile` must be a bool")?,
-                "solver" => {
-                    spec.solver = value.as_str().ok_or("`solver` must be a string")?.parse()?;
-                }
-                "layer" => {
-                    spec.layer = match value {
-                        Json::Null => None,
-                        Json::Number(v) if v.is_finite() && *v > 0.0 => Some(*v),
-                        _ => return Err("`layer` must be null or a positive number".to_string()),
-                    };
-                }
-                "faults" => {
-                    spec.faults =
-                        value.as_str().ok_or("`faults` must be a string")?.to_string();
-                }
-                "fault_seed" => {
-                    spec.fault_seed = value.as_u64().ok_or("`fault_seed` must be an integer")?;
-                }
-                other => return Err(format!("unknown job field `{other}`")),
-            }
-        }
+        f.finish()?;
         Ok(spec)
     }
 
@@ -263,8 +242,7 @@ impl JobSpec {
     pub fn plan(&self) -> ProcessPlan {
         let mut plan = ProcessPlan::fdm(self.resolution, self.orientation)
             .with_seed(self.seed)
-            .with_tensile(self.tensile)
-            .with_fea_solver(self.solver);
+            .with_tensile(self.tensile);
         if let Some(layer) = self.layer {
             plan.slicer = SlicerConfig {
                 layer_height: layer,
@@ -349,36 +327,21 @@ impl DetectSpec {
     ///
     /// # Errors
     ///
-    /// A description of the first malformed field.
-    pub fn from_json(v: &Json) -> Result<DetectSpec, String> {
-        let Json::Object(fields) = v else {
-            return Err("detect spec must be a JSON object".to_string());
+    /// A description of the first malformed, repeated or unknown field.
+    pub fn from_json(v: Json) -> Result<DetectSpec, String> {
+        let mut f = Fields::new(v, "detect spec")?;
+        let d = DetectSpec::default();
+        let spec = DetectSpec {
+            job: f.take("job").map_or(Ok(d.job), JobSpec::from_json)?,
+            quality: f.string("quality")?.unwrap_or(d.quality),
+            jam_amplitude: match f.take("jam_amplitude") {
+                None => d.jam_amplitude,
+                Some(Json::Number(v)) if v.is_finite() && v >= 0.0 => v,
+                Some(_) => return Err("`jam_amplitude` must be a non-negative number".to_string()),
+            },
+            trace_seed: f.u64("trace_seed")?.unwrap_or(d.trace_seed),
         };
-        let mut spec = DetectSpec::default();
-        for (name, value) in fields {
-            match name.as_str() {
-                "job" => spec.job = JobSpec::from_json(value)?,
-                "quality" => {
-                    spec.quality =
-                        value.as_str().ok_or("`quality` must be a string")?.to_string();
-                }
-                "jam_amplitude" => {
-                    spec.jam_amplitude = match value {
-                        Json::Number(v) if v.is_finite() && *v >= 0.0 => *v,
-                        _ => {
-                            return Err(
-                                "`jam_amplitude` must be a non-negative number".to_string()
-                            )
-                        }
-                    };
-                }
-                "trace_seed" => {
-                    spec.trace_seed =
-                        value.as_u64().ok_or("`trace_seed` must be an integer")?;
-                }
-                other => return Err(format!("unknown detect field `{other}`")),
-            }
-        }
+        f.finish()?;
         Ok(spec)
     }
 }
@@ -418,32 +381,20 @@ impl SanitizeSpec {
     ///
     /// # Errors
     ///
-    /// A description of the first malformed field.
-    pub fn from_json(v: &Json) -> Result<SanitizeSpec, String> {
-        let Json::Object(fields) = v else {
-            return Err("sanitize spec must be a JSON object".to_string());
+    /// A description of the first malformed, repeated or unknown field.
+    pub fn from_json(v: Json) -> Result<SanitizeSpec, String> {
+        let mut f = Fields::new(v, "sanitize spec")?;
+        let d = SanitizeSpec::default();
+        let spec = SanitizeSpec {
+            job: f.take("job").map_or(Ok(d.job), JobSpec::from_json)?,
+            payload_seed: f.u64("payload_seed")?.unwrap_or(d.payload_seed),
+            payload_bits: match f.u64("payload_bits") {
+                Ok(None) => d.payload_bits,
+                Ok(Some(bits)) if (1..=8).contains(&bits) => bits,
+                _ => return Err("`payload_bits` must be an integer in 1..=8".to_string()),
+            },
         };
-        let mut spec = SanitizeSpec::default();
-        for (name, value) in fields {
-            match name.as_str() {
-                "job" => spec.job = JobSpec::from_json(value)?,
-                "payload_seed" => {
-                    spec.payload_seed =
-                        value.as_u64().ok_or("`payload_seed` must be an integer")?;
-                }
-                "payload_bits" => {
-                    spec.payload_bits = match value.as_u64() {
-                        Some(bits) if (1..=8).contains(&bits) => bits,
-                        _ => {
-                            return Err(
-                                "`payload_bits` must be an integer in 1..=8".to_string()
-                            )
-                        }
-                    };
-                }
-                other => return Err(format!("unknown sanitize field `{other}`")),
-            }
-        }
+        f.finish()?;
         Ok(spec)
     }
 }
@@ -498,15 +449,103 @@ pub enum RequestBody {
     },
 }
 
-fn get_id(fields: &Json) -> Result<u64, String> {
-    fields.get("id").and_then(Json::as_u64).ok_or_else(|| "missing integer `id`".to_string())
+/// The fields of one wire object, taken out by name. Building it
+/// refuses a repeated key and [`Fields::finish`] refuses a key nothing
+/// took, so every message is closed-world on both codecs.
+struct Fields {
+    what: &'static str,
+    fields: Vec<(String, Json)>,
 }
 
-fn get_deadline(fields: &Json) -> Result<Option<u64>, String> {
-    match fields.get("deadline_ms") {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => {
-            v.as_u64().map(Some).ok_or_else(|| "`deadline_ms` must be an integer".to_string())
+impl Fields {
+    fn new(v: Json, what: &'static str) -> Result<Fields, String> {
+        let Json::Object(fields) = v else {
+            return Err(format!("{what} must be a JSON object"));
+        };
+        // A hash set keeps the check linear in a hostile object's size.
+        let mut seen = HashSet::with_capacity(fields.len());
+        if let Some((name, _)) = fields.iter().find(|(name, _)| !seen.insert(name.as_str())) {
+            return Err(format!("repeated {what} field `{name}`"));
+        }
+        Ok(Fields { what, fields })
+    }
+
+    /// Removes the field `name`, if present.
+    fn take(&mut self, name: &str) -> Option<Json> {
+        let i = self.fields.iter().position(|(k, _)| k == name)?;
+        Some(self.fields.remove(i).1)
+    }
+
+    fn string(&mut self, name: &str) -> Result<Option<String>, String> {
+        match self.take(name) {
+            None => Ok(None),
+            Some(Json::String(s)) => Ok(Some(s)),
+            Some(_) => Err(format!("`{name}` must be a string")),
+        }
+    }
+
+    fn bool(&mut self, name: &str) -> Result<Option<bool>, String> {
+        self.take(name)
+            .map(|v| v.as_bool().ok_or_else(|| format!("`{name}` must be a bool")))
+            .transpose()
+    }
+
+    fn u64(&mut self, name: &str) -> Result<Option<u64>, String> {
+        self.take(name)
+            .map(|v| v.as_u64().ok_or_else(|| format!("`{name}` must be an integer below 2^53")))
+            .transpose()
+    }
+
+    fn number(&mut self, name: &str) -> Result<f64, String> {
+        self.take(name)
+            .as_ref()
+            .and_then(Json::as_number)
+            .ok_or_else(|| format!("missing number `{name}`"))
+    }
+
+    /// An array field as its elements.
+    fn array(&mut self, name: &str) -> Result<Vec<Json>, String> {
+        match self.take(name) {
+            Some(Json::Array(items)) => Ok(items),
+            _ => Err(format!("missing array `{name}`")),
+        }
+    }
+
+    /// A batch of specs; an absent field is one default spec.
+    fn batch<T: Default>(
+        &mut self,
+        name: &str,
+        decode: fn(Json) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        match self.take(name) {
+            None => Ok(vec![T::default()]),
+            Some(Json::Array(items)) => items.into_iter().map(decode).collect(),
+            Some(_) => Err(format!("`{name}` must be an array")),
+        }
+    }
+
+    /// The envelope every message opens with: its `id` and `kind`.
+    fn envelope(&mut self) -> Result<(u64, String), String> {
+        let id = self.u64("id")?.ok_or("missing integer `id`")?;
+        let kind = self.string("kind")?.ok_or("missing string `kind`")?;
+        Ok((id, kind))
+    }
+
+    /// A request's optional `deadline_ms`; `null` means none.
+    fn deadline(&mut self) -> Result<Option<u64>, String> {
+        match self.take("deadline_ms") {
+            None | Some(Json::Null) => Ok(None),
+            Some(v) => v.as_u64().map(Some).ok_or_else(|| {
+                "`deadline_ms` must be an integer below 2^53".to_string()
+            }),
+        }
+    }
+
+    /// Refuses any field no decoder took.
+    fn finish(self) -> Result<(), String> {
+        match self.fields.first() {
+            None => Ok(()),
+            Some((name, _)) => Err(format!("unknown {} field `{name}`", self.what)),
         }
     }
 }
@@ -560,61 +599,37 @@ impl Request {
         Json::Object(fields)
     }
 
-    /// Decodes a request from parsed JSON.
+    /// Decodes a request from its JSON value.
     ///
     /// # Errors
     ///
-    /// A description of the first malformed field.
-    pub fn from_json(v: &Json) -> Result<Request, String> {
-        let id = get_id(v)?;
-        let kind = v
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "missing string `kind`".to_string())?;
-        let body = match kind {
+    /// A description of the first malformed, repeated or unknown field.
+    pub fn from_json(v: Json) -> Result<Request, String> {
+        let mut f = Fields::new(v, "request")?;
+        let (id, kind) = f.envelope()?;
+        let body = match kind.as_str() {
             "ping" => RequestBody::Ping,
             "stats" => RequestBody::Stats,
             "shutdown" => RequestBody::Shutdown,
-            "run" => {
-                let jobs = match v.get("jobs") {
-                    Some(Json::Array(items)) => {
-                        items.iter().map(JobSpec::from_json).collect::<Result<Vec<_>, _>>()?
-                    }
-                    Some(_) => return Err("`jobs` must be an array".to_string()),
-                    None => vec![JobSpec::default()],
-                };
-                RequestBody::Run { jobs, deadline_ms: get_deadline(v)? }
-            }
-            "authenticate" => {
-                let job = match v.get("job") {
-                    Some(obj) => JobSpec::from_json(obj)?,
-                    None => JobSpec::default(),
-                };
-                RequestBody::Authenticate { job, deadline_ms: get_deadline(v)? }
-            }
-            "detect" => {
-                let jobs = match v.get("jobs") {
-                    Some(Json::Array(items)) => {
-                        items.iter().map(DetectSpec::from_json).collect::<Result<Vec<_>, _>>()?
-                    }
-                    Some(_) => return Err("`jobs` must be an array".to_string()),
-                    None => vec![DetectSpec::default()],
-                };
-                RequestBody::Detect { jobs, deadline_ms: get_deadline(v)? }
-            }
-            "sanitize" => {
-                let jobs = match v.get("jobs") {
-                    Some(Json::Array(items)) => items
-                        .iter()
-                        .map(SanitizeSpec::from_json)
-                        .collect::<Result<Vec<_>, _>>()?,
-                    Some(_) => return Err("`jobs` must be an array".to_string()),
-                    None => vec![SanitizeSpec::default()],
-                };
-                RequestBody::Sanitize { jobs, deadline_ms: get_deadline(v)? }
-            }
+            "run" => RequestBody::Run {
+                jobs: f.batch("jobs", JobSpec::from_json)?,
+                deadline_ms: f.deadline()?,
+            },
+            "authenticate" => RequestBody::Authenticate {
+                job: f.take("job").map_or(Ok(JobSpec::default()), JobSpec::from_json)?,
+                deadline_ms: f.deadline()?,
+            },
+            "detect" => RequestBody::Detect {
+                jobs: f.batch("jobs", DetectSpec::from_json)?,
+                deadline_ms: f.deadline()?,
+            },
+            "sanitize" => RequestBody::Sanitize {
+                jobs: f.batch("jobs", SanitizeSpec::from_json)?,
+                deadline_ms: f.deadline()?,
+            },
             other => return Err(format!("unknown request kind `{other}`")),
         };
+        f.finish()?;
         Ok(Request { id, body })
     }
 
@@ -630,7 +645,7 @@ impl Request {
     /// Invalid UTF-8, invalid JSON, or a malformed field.
     pub fn decode(payload: &[u8]) -> Result<Request, String> {
         let text = std::str::from_utf8(payload).map_err(|e| format!("frame is not UTF-8: {e}"))?;
-        Request::from_json(&parse_json(text)?)
+        Request::from_json(parse_json(text)?)
     }
 }
 
@@ -817,75 +832,42 @@ impl Response {
         Json::Object(fields)
     }
 
-    /// Decodes a response from parsed JSON.
+    /// Decodes a response from its JSON value, moving the result and
+    /// report arrays out of it.
     ///
     /// # Errors
     ///
-    /// A description of the first malformed field.
-    pub fn from_json(v: &Json) -> Result<Response, String> {
-        let id = get_id(v)?;
-        let kind = v
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "missing string `kind`".to_string())?;
-        match kind {
-            "pong" => Ok(Response::Pong { id }),
+    /// A description of the first malformed, repeated or unknown field.
+    pub fn from_json(v: Json) -> Result<Response, String> {
+        let mut f = Fields::new(v, "response")?;
+        let (id, kind) = f.envelope()?;
+        let response = match kind.as_str() {
+            "pong" => Response::Pong { id },
             "stats" => {
-                let metrics =
-                    v.get("metrics").cloned().ok_or_else(|| "missing `metrics`".to_string())?;
-                Ok(Response::Stats { id, metrics })
+                Response::Stats { id, metrics: f.take("metrics").ok_or("missing `metrics`")? }
             }
-            "bye" => {
-                let completed = v
-                    .get("completed")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| "missing integer `completed`".to_string())?;
-                Ok(Response::Bye { id, completed })
-            }
-            "results" => match v.get("results") {
-                Some(Json::Array(items)) => Ok(Response::Results { id, results: items.clone() }),
-                _ => Err("missing array `results`".to_string()),
+            "bye" => Response::Bye {
+                id,
+                completed: f.u64("completed")?.ok_or("missing integer `completed`")?,
             },
-            "verdict" => {
-                let verdict = v
-                    .get("verdict")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| "missing string `verdict`".to_string())?
-                    .to_string();
-                let cold = v
-                    .get("cold_joint_mm2")
-                    .and_then(Json::as_number)
-                    .ok_or_else(|| "missing number `cold_joint_mm2`".to_string())?;
-                let voids = v
-                    .get("void_mm3")
-                    .and_then(Json::as_number)
-                    .ok_or_else(|| "missing number `void_mm3`".to_string())?;
-                Ok(Response::Verdict { id, verdict, cold_joint_mm2: cold, void_mm3: voids })
-            }
-            "detections" => match v.get("reports") {
-                Some(Json::Array(items)) => {
-                    Ok(Response::Detections { id, reports: items.clone() })
-                }
-                _ => Err("missing array `reports`".to_string()),
+            "results" => Response::Results { id, results: f.array("results")? },
+            "verdict" => Response::Verdict {
+                id,
+                verdict: f.string("verdict")?.ok_or("missing string `verdict`")?,
+                cold_joint_mm2: f.number("cold_joint_mm2")?,
+                void_mm3: f.number("void_mm3")?,
             },
-            "sanitized" => match v.get("reports") {
-                Some(Json::Array(items)) => Ok(Response::Sanitized { id, reports: items.clone() }),
-                _ => Err("missing array `reports`".to_string()),
-            },
+            "detections" => Response::Detections { id, reports: f.array("reports")? },
+            "sanitized" => Response::Sanitized { id, reports: f.array("reports")? },
             "error" => {
-                let class = v
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| "missing string `error`".to_string())?;
-                let message = v
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string();
-                Ok(Response::Error { id, error: ServiceError::from_name(class)?, message })
+                let class = f.string("error")?.ok_or("missing string `error`")?;
+                let error = ServiceError::from_name(&class)?;
+                Response::Error { id, error, message: f.string("message")?.unwrap_or_default() }
             }
-            other => Err(format!("unknown response kind `{other}`")),
-        }
+            other => return Err(format!("unknown response kind `{other}`")),
+        };
+        f.finish()?;
+        Ok(response)
     }
 
     /// Renders the response to frame-payload bytes.
@@ -900,7 +882,7 @@ impl Response {
     /// Invalid UTF-8, invalid JSON, or a malformed field.
     pub fn decode(payload: &[u8]) -> Result<Response, String> {
         let text = std::str::from_utf8(payload).map_err(|e| format!("frame is not UTF-8: {e}"))?;
-        Response::from_json(&parse_json(text)?)
+        Response::from_json(parse_json(text)?)
     }
 }
 
@@ -1091,13 +1073,13 @@ mod tests {
     #[test]
     fn job_spec_decoding_rejects_unknown_fields_and_values() {
         let spec = JobSpec::default();
-        assert_eq!(JobSpec::from_json(&spec.to_json()).expect("round trip"), spec);
+        assert_eq!(JobSpec::from_json(spec.to_json()).expect("round trip"), spec);
         let bad = parse_json(r#"{"part":"prism","warp":9}"#).expect("parse");
-        assert!(JobSpec::from_json(&bad).expect_err("unknown field").contains("warp"));
+        assert!(JobSpec::from_json(bad).expect_err("unknown field").contains("warp"));
         let bad = parse_json(r#"{"resolution":"ultra"}"#).expect("parse");
-        assert!(JobSpec::from_json(&bad).expect_err("bad resolution").contains("ultra"));
+        assert!(JobSpec::from_json(bad).expect_err("bad resolution").contains("ultra"));
         let bad = parse_json(r#"{"layer":-1}"#).expect("parse");
-        assert!(JobSpec::from_json(&bad).is_err());
+        assert!(JobSpec::from_json(bad).is_err());
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //! interleaved across 100 concurrent sockets against the reactor, a
 //! binary hello proposing a version the daemon does not speak (typed
 //! `bad_codec`, connection continues in JSON), and an out-of-range
-//! sanitize payload width on both codecs (typed `malformed`).
+//! sanitize payload width or an integer from 2^53 up on both codecs
+//! (typed `malformed`).
 
 use am_service::{
-    encode_hello, is_binary_hello, read_frame, write_frame, Client, Codec, Endpoint, Request,
-    RequestBody, Response, SanitizeSpec, Server, ServerConfig, ServiceError, BINARY_VERSION,
-    MAX_FRAME,
+    encode_hello, is_binary_hello, read_frame, write_frame, Client, Codec, Endpoint, JobSpec,
+    Request, RequestBody, Response, SanitizeSpec, Server, ServerConfig, ServiceError,
+    BINARY_VERSION, MAX_FRAME,
 };
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -169,31 +170,33 @@ fn interleaved_partial_frames_on_100_sockets_reassemble_per_connection() {
     server.join();
 }
 
-/// A binary hello proposing a version the daemon does not speak: the
-/// daemon answers with a typed `bad_codec` error *in JSON*, the
-/// connection survives, and subsequent JSON traffic on it works. The
-/// negotiating client surfaces a refusal as a connect error.
+/// A binary hello proposing a version the daemon does not speak — the
+/// retired version 1 or a future one: the daemon answers with a typed
+/// `bad_codec` error *in JSON*, the connection survives, and subsequent
+/// JSON traffic on it works. The negotiating client surfaces a refusal
+/// as a connect error.
 #[test]
 fn unknown_binary_version_gets_bad_codec_and_connection_survives() {
     let server = start();
-    let mut stream = raw_connect(&server);
+    for version in [1, BINARY_VERSION + 1] {
+        let mut stream = raw_connect(&server);
+        write_frame(&mut stream, &encode_hello(version)).expect("write hello");
+        let frame = read_frame(&mut stream)
+            .expect("read refusal")
+            .expect("daemon closed the connection on a binary hello");
+        let response = Response::decode(&frame).expect("refusal must be JSON");
+        let Response::Error { error, .. } = response else {
+            panic!("expected a typed error, got {response:?}");
+        };
+        assert_eq!(
+            error,
+            ServiceError::BadCodec,
+            "a hello of version {version} must map to `bad_codec`"
+        );
 
-    write_frame(&mut stream, &encode_hello(BINARY_VERSION + 1)).expect("write hello");
-    let frame = read_frame(&mut stream)
-        .expect("read refusal")
-        .expect("daemon closed the connection on a binary hello");
-    let response = Response::decode(&frame).expect("refusal must be JSON");
-    let Response::Error { error, .. } = response else {
-        panic!("expected a typed error, got {response:?}");
-    };
-    assert_eq!(
-        error,
-        ServiceError::BadCodec,
-        "a hello of an unknown version must map to `bad_codec`"
-    );
-
-    // The connection stays open and stays JSON.
-    ping_on(&mut stream, 73, "after a refused hello");
+        // The connection stays open and stays JSON.
+        ping_on(&mut stream, 73, "after a refused hello");
+    }
 
     // The negotiating client reports a refusal as an error instead of
     // silently downgrading. This thread plays a daemon that refuses the
@@ -242,6 +245,35 @@ fn out_of_range_payload_bits_are_malformed_on_both_codecs() {
         );
     }
     let mut client = Client::connect(&endpoint).expect("connect");
+    client.shutdown().expect("shutdown");
+    server.join();
+}
+
+/// A job seed of 2^53 + 1 once decoded as 2^53 on JSON and exactly on
+/// binary, so the two codecs ran different jobs. An integer the wire's
+/// `f64` may have rounded is now `malformed` on both codecs, whether a
+/// client sends it or a JSON frame spells its exact digits.
+#[test]
+fn integers_from_2_pow_53_are_malformed_on_both_codecs() {
+    let server = start();
+    let endpoint = Endpoint::Tcp(server.addr().to_string());
+    for codec in [Codec::Json, Codec::Binary] {
+        let mut client = Client::connect_with_codec(&endpoint, None, codec).expect("connect");
+        let job = JobSpec { seed: (1 << 53) + 1, ..JobSpec::default() };
+        let response = client.run(vec![job], None).expect("an answer");
+        assert!(
+            matches!(response, Response::Error { error: ServiceError::Malformed, .. }),
+            "{}: expected `malformed`, got {response:?}",
+            codec.name()
+        );
+    }
+    let mut client = Client::connect(&endpoint).expect("connect");
+    let frame = br#"{"id":1,"kind":"run","jobs":[{"seed":9007199254740993}]}"#;
+    let response = client.raw_call(frame).expect("an answer");
+    let Response::Error { error: ServiceError::Malformed, message, .. } = response else {
+        panic!("expected `malformed`, got {response:?}");
+    };
+    assert!(message.contains("`seed`"), "{message}");
     client.shutdown().expect("shutdown");
     server.join();
 }

@@ -1,25 +1,36 @@
-//! Recorded-byte pins for binary codec version 1.
+//! Recorded-byte pins for binary codec version 2, and the one-schema
+//! contract between the two codecs.
 //!
 //! `codec.rs`'s own tests check that the binary codec round-trips and
 //! re-encodes identically. These pins check that it still produces the
 //! *recorded* bytes, so a reordered field, a widened length prefix or a
 //! changed tag fails here even when encode and decode still agree with
 //! each other. A peer built from an older commit speaks exactly these
-//! bytes, and [`BINARY_VERSION`] 1 promises it keeps working.
+//! bytes, and [`BINARY_VERSION`] 2 promises it keeps working.
 //!
 //! Covered: every request and response kind, both states of every
 //! option and flag, every enum value a job carries, every error class,
-//! nested `Json` with `-0.0`, NaN, subnormals and non-ASCII strings, and
-//! the hello frame. Each case is pinned by its byte length and the
-//! FNV-1a 64-bit digest of its bytes.
+//! nested `Json` with `-0.0`, NaN, subnormals and non-ASCII strings,
+//! integers at the wire's 2^53 bound, and the hello frame. Each case is
+//! pinned by its byte length and the FNV-1a 64-bit digest of its bytes.
+//!
+//! A binary payload is the message's JSON value in tagged syntax, and
+//! both codecs decode through one `from_json`: every pinned request
+//! decodes to the same value from either codec, and every refused
+//! message is refused by both with the same error.
 
 use am_mesh::Resolution;
+use am_service::codec::{put_json, read_json};
 use am_service::{
     encode_hello, Codec, DetectSpec, JobSpec, Request, RequestBody, Response, SanitizeSpec,
     ServiceError, BINARY_VERSION,
 };
 use am_slicer::Orientation;
-use obfuscade::json::Json;
+use obfuscade::bytes::{ByteReader, ByteWriter};
+use obfuscade::json::{parse_json, Json};
+
+/// The largest integer the wire carries: 2^53 - 1.
+const MAX_WIRE_INT: u64 = (1 << 53) - 1;
 
 /// FNV-1a, 64-bit.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -38,9 +49,8 @@ fn job_a() -> JobSpec {
         intact: true,
         resolution: Resolution::Fine,
         orientation: Orientation::Xz,
-        seed: u64::MAX,
+        seed: MAX_WIRE_INT,
         tensile: true,
-        solver: "relaxation".parse().expect("solver name"),
         layer: Some(0.25),
         faults: "stl.degenerate=3 toolpath.drop=0.1 — ü".into(),
         fault_seed: 42,
@@ -56,7 +66,6 @@ fn job_b() -> JobSpec {
         orientation: Orientation::Xy,
         seed: 0,
         tensile: false,
-        solver: "newton-pcg".parse().expect("solver name"),
         layer: None,
         faults: String::new(),
         fault_seed: 0,
@@ -69,12 +78,12 @@ fn requests() -> Vec<(&'static str, Request)> {
         job: job_a(),
         quality: "room".into(),
         jam_amplitude: 2.5,
-        trace_seed: u64::MAX,
+        trace_seed: MAX_WIRE_INT,
     };
     vec![
         ("ping", request(1, RequestBody::Ping)),
         ("stats", request(2, RequestBody::Stats)),
-        ("shutdown", request(u64::MAX, RequestBody::Shutdown)),
+        ("shutdown", request(MAX_WIRE_INT, RequestBody::Shutdown)),
         (
             "run",
             request(
@@ -160,7 +169,7 @@ fn responses() -> Vec<(&'static str, Response)> {
     let mut cases = vec![
         ("pong", Response::Pong { id: 1 }),
         ("stats", Response::Stats { id: 2, metrics: nasty() }),
-        ("bye", Response::Bye { id: 3, completed: u64::MAX }),
+        ("bye", Response::Bye { id: 3, completed: MAX_WIRE_INT }),
         ("results", Response::Results { id: 4, results: vec![nasty(), Json::Bool(true)] }),
         ("results-empty", Response::Results { id: 5, results: vec![] }),
         (
@@ -203,37 +212,37 @@ fn responses() -> Vec<(&'static str, Response)> {
 
 /// (label, byte length, FNV-1a digest) of every request case.
 const REQUEST_PINS: &[(&str, usize, u64)] = &[
-    ("ping", 9, 0xc709bb3119a0df9e),
-    ("stats", 9, 0x908fbaeea5d3c7ee),
-    ("shutdown", 9, 0xaf94b0dfc57cce5d),
-    ("run", 223, 0xa4064e15ec3d9176),
-    ("run-empty", 14, 0xcf2a3d8e04519542),
-    ("authenticate", 113, 0x163a8f1f70c978fd),
-    ("authenticate-no-deadline", 60, 0x47fb34cff361b40a),
-    ("detect", 227, 0x2a71c01d0ace611f),
-    ("detect-empty", 14, 0x0646a29821e6bc38),
-    ("sanitize", 177, 0x947e31735d4d79e7),
-    ("sanitize-deadline", 87, 0xe91866f6c618cd96),
+    ("ping", 37, 0xe402f3ab1cb669da),
+    ("stats", 38, 0x1bb0c7f7480a6f57),
+    ("shutdown", 41, 0xf51a2bdb09d12083),
+    ("run", 602, 0xe86576c4763f46e5),
+    ("run-empty", 49, 0xd3c27038249a031b),
+    ("authenticate", 279, 0x22427bfca1b0bff6),
+    ("authenticate-no-deadline", 212, 0xc619080b6b33d1e7),
+    ("detect", 613, 0x3973b183527286bc),
+    ("detect-empty", 52, 0xf826ccc3ddd9f46c),
+    ("sanitize", 541, 0x05f75b55dd07cf0c),
+    ("sanitize-deadline", 306, 0x54156768ac083c1d),
 ];
 
 /// (label, byte length, FNV-1a digest) of every response case.
 const RESPONSE_PINS: &[(&str, usize, u64)] = &[
-    ("pong", 9, 0xc709bb3119a0df9e),
-    ("stats", 263, 0xd7d6fbb5dede9dfa),
-    ("bye", 17, 0x193023ee5cb97d3e),
-    ("results", 268, 0xbd7629f3de758512),
-    ("results-empty", 13, 0xd6d9043b754c5967),
-    ("verdict", 47, 0x454244c173c4d00d),
-    ("detections", 296, 0x9b3c5248cce99908),
-    ("detections-empty", 13, 0xb29745a7f3947a21),
-    ("sanitized", 268, 0x914e4d9191f7590b),
-    ("error-overloaded", 40, 0xa1d7549a4003763c),
-    ("error-shutting-down", 43, 0x06cafec4628dcbe2),
-    ("error-malformed", 39, 0x6e3c56789a08eb79),
-    ("error-forbidden", 39, 0x9f997c634d560672),
-    ("error-job", 33, 0xd7ffc8f5baa694cb),
-    ("error-internal", 38, 0x2a7fda0002ce21cd),
-    ("error-bad-codec", 39, 0x881dcf7cea9083b0),
+    ("pong", 37, 0xae64ddaafde0c258),
+    ("stats", 303, 0xa561fd6b1e37b9a8),
+    ("bye", 58, 0xd5b5a909e78077be),
+    ("results", 311, 0xbc4b77de4337992b),
+    ("results-empty", 56, 0x5193c3d350b570e1),
+    ("verdict", 122, 0x23f6f5cc317a5880),
+    ("detections", 342, 0xa88ee777b17f8443),
+    ("detections-empty", 59, 0x3de96baf7830d96b),
+    ("sanitized", 313, 0x7ae68c4c3c696ee5),
+    ("error-overloaded", 104, 0x673669948d6289f1),
+    ("error-shutting-down", 110, 0x46e519fd48a0c206),
+    ("error-malformed", 102, 0x0bdf7390fb04dd3f),
+    ("error-forbidden", 102, 0x035965c28e52657c),
+    ("error-job", 90, 0x7f7c3fd465436022),
+    ("error-internal", 100, 0x9670623ec7c56fc3),
+    ("error-bad-codec", 102, 0x0dbd718a04281bbc),
 ];
 
 /// Compares every case with its pin and reports all differences at once,
@@ -270,8 +279,8 @@ fn binary_responses_match_the_recorded_bytes() {
 
 #[test]
 fn hello_frame_matches_the_recorded_bytes() {
-    assert_eq!(BINARY_VERSION, 1);
-    assert_eq!(encode_hello(BINARY_VERSION), b"OBFB\x01");
+    assert_eq!(BINARY_VERSION, 2);
+    assert_eq!(encode_hello(BINARY_VERSION), b"OBFB\x02");
 }
 
 #[test]
@@ -285,5 +294,101 @@ fn every_pinned_case_decodes_back_to_its_value() {
         let back = Codec::Binary.decode_response(&bytes).expect(label);
         // NaN != NaN, so compare re-encodings: equal bytes, equal bits.
         assert_eq!(Codec::Binary.encode_response(&back), bytes, "{label}");
+    }
+}
+
+#[test]
+fn json_and_binary_decode_every_pinned_request_to_the_same_value() {
+    for (label, request) in requests() {
+        let text = Codec::Json.encode_request(&request);
+        let bytes = Codec::Binary.encode_request(&request);
+        // The binary payload is the JSON payload's value, tag by tag.
+        let mut r = ByteReader::new(&bytes);
+        let value = read_json(&mut r).expect(label);
+        assert_eq!(r.finish(), Ok(()), "{label}");
+        let text = std::str::from_utf8(&text).expect(label);
+        assert_eq!(value, parse_json(text).expect(label), "{label}");
+        let from_json = Codec::Json.decode_request(text.as_bytes()).expect(label);
+        let from_binary = Codec::Binary.decode_request(&bytes).expect(label);
+        assert_eq!(from_json, from_binary, "{label}");
+        assert_eq!(from_binary, request, "{label}");
+    }
+}
+
+/// (label, JSON text, a part of the error) of requests both codecs
+/// must refuse: integers from 2^53 up, which an `f64` may have rounded,
+/// and envelopes or specs with a repeated or unknown field.
+const REQUEST_REFUSALS: &[(&str, &str, &str)] = &[
+    ("seed-2^53+1", r#"{"id":1,"kind":"run","jobs":[{"seed":9007199254740993}]}"#, "`seed`"),
+    ("seed-2^53", r#"{"id":1,"kind":"run","jobs":[{"seed":9007199254740992}]}"#, "`seed`"),
+    ("id-u64-max", r#"{"id":18446744073709551615,"kind":"ping"}"#, "`id`"),
+    (
+        "trace-seed-2^64",
+        r#"{"id":1,"kind":"detect","jobs":[{"trace_seed":18446744073709551616}]}"#,
+        "`trace_seed`",
+    ),
+    (
+        "payload-seed-2^53",
+        r#"{"id":1,"kind":"sanitize","jobs":[{"payload_seed":9007199254740992}]}"#,
+        "`payload_seed`",
+    ),
+    (
+        "deadline-2^53",
+        r#"{"id":1,"kind":"authenticate","deadline_ms":9007199254740992}"#,
+        "`deadline_ms`",
+    ),
+    ("unknown-envelope-field", r#"{"id":5,"kind":"ping","bogus":1}"#, "unknown request field"),
+    ("field-of-another-kind", r#"{"id":5,"kind":"ping","jobs":[]}"#, "`jobs`"),
+    ("repeated-kind", r#"{"id":5,"kind":"ping","kind":"shutdown"}"#, "repeated request field"),
+    ("repeated-id", r#"{"id":5,"id":6,"kind":"ping"}"#, "repeated request field `id`"),
+    (
+        "repeated-job-seed",
+        r#"{"id":5,"kind":"run","jobs":[{"seed":1,"seed":2}]}"#,
+        "repeated job spec field `seed`",
+    ),
+    (
+        "repeated-detect-field",
+        r#"{"id":5,"kind":"detect","jobs":[{"quality":"lab","quality":"room"}]}"#,
+        "repeated detect spec field `quality`",
+    ),
+    (
+        "retired-solver",
+        r#"{"id":5,"kind":"run","jobs":[{"solver":"relaxation"}]}"#,
+        "unknown job spec field `solver`",
+    ),
+];
+
+/// (label, JSON text, a part of the error) of responses both codecs
+/// must refuse.
+const RESPONSE_REFUSALS: &[(&str, &str, &str)] = &[
+    ("unknown-response-field", r#"{"id":1,"kind":"pong","extra":0}"#, "unknown response field"),
+    (
+        "repeated-results",
+        r#"{"id":1,"kind":"results","results":[],"results":[1]}"#,
+        "repeated response field `results`",
+    ),
+    ("bye-2^53", r#"{"id":1,"kind":"bye","completed":9007199254740992}"#, "`completed`"),
+];
+
+/// The binary payload of the message a JSON text spells.
+fn binary_of(text: &str) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    put_json(&mut w, &parse_json(text).expect("the refusal case parses"));
+    w.into_bytes()
+}
+
+#[test]
+fn refused_messages_get_the_same_error_on_both_codecs() {
+    for (label, text, expected) in REQUEST_REFUSALS {
+        let json = Codec::Json.decode_request(text.as_bytes()).expect_err(label);
+        let binary = Codec::Binary.decode_request(&binary_of(text)).expect_err(label);
+        assert_eq!(json, binary, "{label}");
+        assert!(json.contains(expected), "{label}: {json}");
+    }
+    for (label, text, expected) in RESPONSE_REFUSALS {
+        let json = Codec::Json.decode_response(text.as_bytes()).expect_err(label);
+        let binary = Codec::Binary.decode_response(&binary_of(text)).expect_err(label);
+        assert_eq!(json, binary, "{label}");
+        assert!(json.contains(expected), "{label}: {json}");
     }
 }
