@@ -17,10 +17,11 @@
 #    the boot race the old external wait loop papered over), then drain
 #    the daemon with a `shutdown` request and wait for it.
 #    The detect stage (PR 10) rides the same daemon: batch side-channel
-#    detection jobs (clean, faulted, jammed and room-quality captures) and a
-#    stego-sanitization job are served on BOTH wire codecs with
-#    `--verify`, which byte-compares every served report against an
-#    in-process `am-detect` run of the same spec
+#    detection jobs (clean, faulted, jammed and room-quality captures, on
+#    the prism and the fine x-z bracket) and a stego-sanitization job are
+#    served on BOTH wire codecs with `--verify`, which byte-compares every
+#    served report against an in-process `am-detect` run of the same
+#    spec; then two offline `detect-roc` sweeps must print the same bytes
 # 4. chaos stage (hardened under the epoll reactor): a daemon on a
 #    Unix socket with deterministic fault injection
 #    (`--chaos-seed`), a 1 MiB cache to
@@ -79,10 +80,16 @@ SERVE_PID=$!
 # byte-verified against the in-process am-detect reference on both
 # codecs: a clean suspect, a faulted suspect under acoustic jamming, a
 # faulted suspect at the noisiest capture preset (room: sign-error draws
-# and the heaviest zero clamping), and a sanitize job that embeds a
-# seeded payload first.
+# and the heaviest zero clamping), the bracket at fine x-z (the family
+# with the most capture frames, 10 576), clean and faulted under jamming,
+# and a sanitize job that embeds a seeded payload first.
 ./target/release/obfuscade submit --port-file target/serve.addr --kind detect \
     --verify >/dev/null
+./target/release/obfuscade submit --port-file target/serve.addr --kind detect \
+    --part bracket --orientation xz --resolution fine --verify >/dev/null
+./target/release/obfuscade submit --port-file target/serve.addr --kind detect \
+    --part bracket --orientation xz --resolution fine --faults "toolpath.drop=0.1" \
+    --jam 0.8 --codec binary --verify >/dev/null
 ./target/release/obfuscade submit --port-file target/serve.addr --kind detect \
     --faults "toolpath.dup=0.5" --quality lab --jam 2.5 --trace-seed 7 \
     --codec binary --verify >/dev/null
@@ -92,6 +99,14 @@ SERVE_PID=$!
     --payload-seed 7 --payload-bits 3 --verify >/dev/null
 ./target/release/obfuscade submit --port-file target/serve.addr --kind sanitize \
     --codec binary --verify >/dev/null
+# The offline ROC sweep over every catalog fault is deterministic: two
+# runs print the same bytes.
+./target/release/obfuscade detect-roc --quality smartphone --jam 0 --replicates 1 --json \
+    >target/roc-a.json
+./target/release/obfuscade detect-roc --quality smartphone --jam 0 --replicates 1 --json \
+    >target/roc-b.json
+cmp target/roc-a.json target/roc-b.json \
+    || { echo "ci: detect-roc printed different bytes on a second run" >&2; exit 1; }
 echo "ci: detect stage clean (served reports byte-identical on both codecs)"
 
 ./target/release/obfuscade submit --port-file target/serve.addr --kind shutdown

@@ -25,7 +25,9 @@ use crate::json::Json;
 /// threshold flags the job on that channel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DetectionReport {
-    /// The suspect job's fault spec (empty = the null hypothesis).
+    /// The suspect job's fault spec, echoed as the caller wrote it (empty
+    /// = the null hypothesis). Spellings of one canonical fault plan share
+    /// a cached result but each get their own echo.
     pub fault_spec: String,
     /// Capture-quality preset the traces were recorded at
     /// (`lab` / `smartphone` / `room`).

@@ -14,13 +14,19 @@
 //! the *golden* tool path through the capture channel at independent
 //! noise seeds (jamming included — the defender's own jammer degrades
 //! their monitoring too) and takes the `1 - fpr_target` quantile of those
-//! null scores. All three detectors therefore operate at the same nominal
-//! false-positive rate, which is what makes their catch rates comparable.
+//! null scores. All three detectors are therefore calibrated to the same
+//! nominal false-positive rate, which is what makes their catch rates
+//! comparable. The fused null pairs the two *sorted* channel nulls, so the
+//! fused detector flags whenever either channel does, and its measured
+//! false-positive rate sits above the nominal one until the fused null is
+//! rebuilt (ROADMAP.md item 1; DESIGN.md §16).
 //!
 //! Every capture of one tool path shares one [`CapturePlan`]: calibration
 //! plans the golden path once and replays it for the golden master and
 //! each null, drawing only the seeded noise into reused buffers, and the
-//! features are read straight off those buffers.
+//! features are read straight off those buffers. The deciles are selected
+//! on order keys in a reused key buffer, so the readings keep their frame
+//! order.
 
 use am_sidechannel::{CapturePlan, CaptureQuality, EmissionDraw, NoiseEmitter};
 use am_slicer::ToolPath;
@@ -53,24 +59,48 @@ pub(crate) fn mix(seed: u64, salt: u64) -> u64 {
 
 /// Decile feature vector of one scalar distribution: per probe, the
 /// [`quantile_rank`]-th smallest value under [`f64::total_cmp`] (all zero
-/// when empty). Found by selection, which reorders `values`: the ranks
-/// ascend, and after each select every value left of the selected slot is
-/// no greater than any value right of it, so the next rank is selected
-/// among the values right of it.
-fn deciles(values: &mut [f64]) -> [f64; 9] {
-    let mut q = [0.0; 9];
-    let mut selected = 0;
-    for (slot, p) in q.iter_mut().zip(PROBES) {
-        let Some(k) = quantile_rank(p, values.len()).checked_sub(1) else {
-            break;
-        };
-        if k >= selected {
-            values[selected..].select_nth_unstable_by(k - selected, f64::total_cmp);
-            selected = k + 1;
-        }
-        *slot = values[k];
+/// when empty). The readings are copied into `keys` as [`order_key`]s,
+/// where one [`select_ranks`] places all nine ranks; `values` keeps its
+/// order.
+fn deciles(values: &[f64], keys: &mut Vec<u64>) -> [f64; 9] {
+    if values.is_empty() {
+        return [0.0; 9];
     }
-    q
+    let ranks = PROBES.map(|p| quantile_rank(p, values.len()) - 1);
+    keys.clear();
+    keys.extend(values.iter().map(|&v| order_key(v)));
+    select_ranks(keys, 0, &ranks);
+    ranks.map(|rank| from_order_key(keys[rank]))
+}
+
+/// A reading's order key: unsigned order on keys is [`f64::total_cmp`]'s
+/// order on readings. A negative reading has every bit flipped, a
+/// non-negative one its sign bit set.
+fn order_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The reading whose [`order_key`] is `key`.
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key & !(1 << 63) } else { !key })
+}
+
+/// Moves the key of every rank in `ranks` (ascending, repeats allowed,
+/// counted from `offset`, the position of `keys[0]` in the whole buffer)
+/// to the slot a full sort would give it. Selects the middle rank, then
+/// recurses into each side with only the ranks strictly on that side.
+fn select_ranks(keys: &mut [u64], offset: usize, ranks: &[usize]) {
+    let Some(&rank) = ranks.get(ranks.len() / 2) else {
+        return;
+    };
+    let (below, _, above) = keys.select_nth_unstable(rank - offset);
+    select_ranks(below, offset, &ranks[..ranks.partition_point(|&r| r < rank)]);
+    select_ranks(above, rank + 1, &ranks[ranks.partition_point(|&r| r <= rank)..]);
 }
 
 /// Acoustic-capture features: stepper-tone deciles per axis plus the
@@ -137,11 +167,13 @@ fn rel_gap(a: f64, b: f64) -> f64 {
     (a - b).abs() / a.abs().max(b.abs()).max(1.0)
 }
 
-/// The noise buffers of one field capture, reused across captures.
+/// The noise buffers of one field capture, and the order keys its
+/// deciles are selected on, reused across captures.
 #[derive(Debug, Default)]
 struct Capture {
     tones: EmissionDraw,
     watts: Vec<f64>,
+    keys: Vec<u64>,
 }
 
 impl Capture {
@@ -167,16 +199,14 @@ impl Capture {
             frames,
             total_s: plan.total_s(),
             extrude_fraction: plan.extruding() as f64 / (plan.len().max(1)) as f64,
-            fx_q: deciles(&mut self.tones.fx_hz),
-            fy_q: deciles(&mut self.tones.fy_hz),
+            fx_q: deciles(&self.tones.fx_hz, &mut self.keys),
+            fy_q: deciles(&self.tones.fy_hz, &mut self.keys),
         };
-        // Energy before the deciles: selection reorders the buffer.
-        let energy_j = self.watts.iter().zip(plan.frames()).map(|(w, f)| w * f.duration_s).sum();
         let power = PowerFeatures {
             samples: frames,
             total_s: plan.total_s(),
-            energy_j,
-            watts_q: deciles(&mut self.watts),
+            energy_j: self.watts.iter().zip(plan.frames()).map(|(w, f)| w * f.duration_s).sum(),
+            watts_q: deciles(&self.watts, &mut self.keys),
         };
         (audio, power)
     }
@@ -440,7 +470,7 @@ mod tests {
 
     fn assert_same_bits(values: &[f64]) {
         let expected = sorted_deciles(values).map(f64::to_bits);
-        let selected = deciles(&mut values.to_vec()).map(f64::to_bits);
+        let selected = deciles(values, &mut Vec::new()).map(f64::to_bits);
         assert_eq!(selected, expected, "deciles of {values:?}");
     }
 
@@ -481,7 +511,7 @@ mod tests {
 
     #[test]
     fn selected_deciles_of_short_and_empty_traces() {
-        assert_eq!(deciles(&mut []).map(f64::to_bits), [0.0f64.to_bits(); 9]);
+        assert_eq!(deciles(&[], &mut Vec::new()).map(f64::to_bits), [0.0f64.to_bits(); 9]);
         for n in 1..10 {
             // Repeated ranks (n < 10) and ties at every rank.
             let values: Vec<f64> = (0..n).map(|i| ((i * 7) % 3) as f64 - 1.0).collect();

@@ -86,8 +86,14 @@ pub fn detection_key(golden: StageKey, faults: &FaultPlan, config: &DetectConfig
 /// paths through the shared cache, synthesizes acoustic + power captures,
 /// and scores the suspect against the calibrated detector bank.
 ///
-/// `fault_spec` is the job's canonical fault-spec string, echoed into
-/// the report for the caller.
+/// `fault_spec` is the job's fault spec as the caller wrote it, echoed
+/// into the report. The result is cached under [`detection_key`], which
+/// hashes the canonical fault plan, so a cache hit echoes the caller's
+/// spelling too, not the spelling of the request that computed it.
+///
+/// A suspect whose tool-path stage key equals the golden one is the
+/// golden tool path itself; it is scored against the calibration's
+/// golden plan instead of being planned again.
 ///
 /// Suspects whose injected faults trip a typed process guard before the
 /// tool-path stage are reported as blocked (see
@@ -115,7 +121,7 @@ pub fn detect_counterfeit(
         .map_err(DetectError::Pipeline)?;
     let key = detection_key(golden.key, faults, config);
     if let Some(report) = cache.get_detection(key) {
-        return Ok((*report).clone());
+        return Ok(DetectionReport { fault_spec: fault_spec.to_string(), ..(*report).clone() });
     }
     let suspect = match plan_toolpath(part, plan, faults, cache, deadline) {
         Ok(suspect) => Ok(suspect),
@@ -134,6 +140,9 @@ pub fn detect_counterfeit(
         config.fpr_target,
     );
     let (scores, blocked_by) = match &suspect {
+        Ok(suspect) if suspect.key == golden.key => {
+            (cal.score(cal.golden_plan(), config.trace_seed), None)
+        }
         Ok(suspect) => {
             let suspect = CapturePlan::new(&suspect.toolpath, plan.printer.feed_mm_per_s);
             (cal.score(&suspect, config.trace_seed), None)

@@ -64,6 +64,28 @@ fn detection_reports_cache_like_pipeline_stages() {
 }
 
 #[test]
+fn cached_detections_echo_the_callers_fault_spelling() {
+    // Three spellings of one canonical plan, `seed=1 toolpath.drop=0.1`
+    // (the job's fault seed overrides a spelled one): one detection key.
+    let part = part();
+    let plan = plan();
+    let config = DetectConfig { null_replicates: 8, ..DetectConfig::default() };
+    let shared = StageCache::with_budget(256 << 20);
+    let spellings = ["toolpath.drop=0.1", "toolpath.drop=0.10", "seed=9 toolpath.drop=0.1"];
+    for spelling in spellings {
+        let faults = spelling.parse::<FaultPlan>().expect("fault spec parses").with_seed(1);
+        assert_eq!(faults.to_string(), "seed=1 toolpath.drop=0.1");
+        let detect = |cache: &StageCache| {
+            detect_counterfeit(&part, &plan, &faults, spelling, &config, cache, Deadline::none())
+                .expect("detect runs")
+        };
+        let served = detect(&shared);
+        assert_eq!(served.fault_spec, spelling);
+        assert_eq!(served, detect(&StageCache::with_budget(256 << 20)), "{spelling}");
+    }
+}
+
+#[test]
 fn blocked_faults_are_reported_not_errored() {
     let part = part();
     let plan = plan();

@@ -103,11 +103,20 @@ impl Codec {
         }
     }
 
-    /// Encodes a response payload under this codec.
+    /// Encodes a response payload under this codec:
+    /// [`Codec::encode_owned_response`] on a copy.
     pub fn encode_response(&self, response: &Response) -> Vec<u8> {
+        self.encode_owned_response(response.clone())
+    }
+
+    /// Encodes a response payload under this codec, moving the response's
+    /// arrays into the encoded value instead of copying them (the
+    /// daemon's and router's reply path).
+    pub fn encode_owned_response(&self, response: Response) -> Vec<u8> {
+        let v = response.into_json();
         match self {
-            Codec::Json => response.encode(),
-            Codec::Binary => encode_binary(&response.to_json()),
+            Codec::Json => v.render().into_bytes(),
+            Codec::Binary => encode_binary(&v),
         }
     }
 

@@ -792,41 +792,47 @@ impl Response {
         }
     }
 
-    /// The response as a JSON object.
+    /// The response as a JSON object: [`Response::into_json`] on a copy.
     pub fn to_json(&self) -> Json {
+        self.clone().into_json()
+    }
+
+    /// The response as a JSON object, moving the result and report arrays
+    /// and the metrics tree into it instead of copying them.
+    pub fn into_json(self) -> Json {
         let mut fields = vec![("id".to_string(), Json::u64(self.id()))];
         match self {
             Response::Pong { .. } => fields.push(("kind".into(), Json::str("pong"))),
             Response::Stats { metrics, .. } => {
                 fields.push(("kind".into(), Json::str("stats")));
-                fields.push(("metrics".into(), metrics.clone()));
+                fields.push(("metrics".into(), metrics));
             }
             Response::Bye { completed, .. } => {
                 fields.push(("kind".into(), Json::str("bye")));
-                fields.push(("completed".into(), Json::u64(*completed)));
+                fields.push(("completed".into(), Json::u64(completed)));
             }
             Response::Results { results, .. } => {
                 fields.push(("kind".into(), Json::str("results")));
-                fields.push(("results".into(), Json::Array(results.clone())));
+                fields.push(("results".into(), Json::Array(results)));
             }
             Response::Verdict { verdict, cold_joint_mm2, void_mm3, .. } => {
                 fields.push(("kind".into(), Json::str("verdict")));
-                fields.push(("verdict".into(), Json::str(verdict.clone())));
-                fields.push(("cold_joint_mm2".into(), Json::Number(*cold_joint_mm2)));
-                fields.push(("void_mm3".into(), Json::Number(*void_mm3)));
+                fields.push(("verdict".into(), Json::str(verdict)));
+                fields.push(("cold_joint_mm2".into(), Json::Number(cold_joint_mm2)));
+                fields.push(("void_mm3".into(), Json::Number(void_mm3)));
             }
             Response::Detections { reports, .. } => {
                 fields.push(("kind".into(), Json::str("detections")));
-                fields.push(("reports".into(), Json::Array(reports.clone())));
+                fields.push(("reports".into(), Json::Array(reports)));
             }
             Response::Sanitized { reports, .. } => {
                 fields.push(("kind".into(), Json::str("sanitized")));
-                fields.push(("reports".into(), Json::Array(reports.clone())));
+                fields.push(("reports".into(), Json::Array(reports)));
             }
             Response::Error { error, message, .. } => {
                 fields.push(("kind".into(), Json::str("error")));
                 fields.push(("error".into(), Json::str(error.name())));
-                fields.push(("message".into(), Json::str(message.clone())));
+                fields.push(("message".into(), Json::str(message)));
             }
         }
         Json::Object(fields)

@@ -290,8 +290,8 @@ pub(crate) struct ReplySink {
 impl ReplySink {
     /// Encodes `response` under the connection's codec and hands it to
     /// the reactor.
-    pub(crate) fn send(&self, response: &Response) {
-        self.hub.push(self.conn, self.codec.encode_response(response));
+    pub(crate) fn send(&self, response: Response) {
+        self.hub.push(self.conn, self.codec.encode_owned_response(response));
     }
 }
 
@@ -644,7 +644,7 @@ fn worker_loop(shared: Arc<Shared>) {
         let waited_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;
         lock(&shared.latency).record_ms(waited_ms);
         shared.completed.fetch_add(1, Ordering::SeqCst);
-        job.reply.send(&response);
+        job.reply.send(response);
         shared.in_flight.fetch_sub(1, Ordering::SeqCst);
         shared.drained_cv.notify_all();
         if panicked {
@@ -861,7 +861,7 @@ fn admit(shared: &Arc<Shared>, id: u64, work: Work, deadline_ms: Option<u64>, re
     let mut queue = lock(&shared.queue);
     if shared.phase() != RUNNING {
         drop(queue);
-        reply.send(&Response::Error {
+        reply.send(Response::Error {
             id,
             error: ServiceError::ShuttingDown,
             message: "the daemon is draining and admits no new jobs".to_string(),
@@ -871,7 +871,7 @@ fn admit(shared: &Arc<Shared>, id: u64, work: Work, deadline_ms: Option<u64>, re
     if queue.len() >= shared.queue_capacity {
         shared.rejected.fetch_add(1, Ordering::SeqCst);
         drop(queue);
-        reply.send(&Response::Error {
+        reply.send(Response::Error {
             id,
             error: ServiceError::Overloaded,
             message: format!("job queue is at capacity ({})", shared.queue_capacity),
@@ -967,7 +967,7 @@ pub(crate) fn process_frame(
         Ok(request) => request,
         Err(message) => {
             let error = Response::Error { id: 0, error: ServiceError::Malformed, message };
-            return FrameOutcome::Reply(codec.encode_response(&error));
+            return FrameOutcome::Reply(codec.encode_owned_response(error));
         }
     };
     let id = request.id;
@@ -1005,7 +1005,7 @@ pub(crate) fn process_frame(
             return FrameOutcome::Queued;
         }
     };
-    FrameOutcome::Reply(codec.encode_response(&inline))
+    FrameOutcome::Reply(codec.encode_owned_response(inline))
 }
 
 /// Chaos accept gate: `true` means this freshly accepted connection

@@ -131,7 +131,8 @@ impl CapturePlan {
         self.total_s
     }
 
-    /// Draws the acoustic readings of one capture at `seed` into `out`.
+    /// Draws the acoustic readings of one capture at `seed` into `out`,
+    /// resized to one reading per frame and overwritten in place.
     ///
     /// The acoustic channel is modeled as cycle counting: per axis, the
     /// attacker miscounts the move's stepper cycles by up to
@@ -140,34 +141,40 @@ impl CapturePlan {
     /// frame the draws are x count, y count, x flip, y flip.
     pub fn draw_emissions(&self, quality: CaptureQuality, seed: u64, out: &mut EmissionDraw) {
         let mut rng = StdRng::seed_from_u64(seed);
-        out.fx_hz.clear();
-        out.fy_hz.clear();
-        out.x_positive.clear();
-        out.y_positive.clear();
+        let n = self.frames.len();
+        out.fx_hz.resize(n, 0.0);
+        out.fy_hz.resize(n, 0.0);
+        out.x_positive.resize(n, false);
+        out.y_positive.resize(n, false);
         let cycles = |steps: f64, rng: &mut StdRng| {
             (steps + quality.cycle_noise * rng.gen_range(-1.0..1.0f64)).max(0.0)
         };
-        for f in &self.frames {
-            out.fx_hz.push(cycles(f.steps_x, &mut rng) / f.duration_s);
-            out.fy_hz.push(cycles(f.steps_y, &mut rng) / f.duration_s);
-            out.x_positive.push(f.x_positive != rng.gen_bool(quality.sign_error_rate));
-            out.y_positive.push(f.y_positive != rng.gen_bool(quality.sign_error_rate));
+        let readings = out
+            .fx_hz
+            .iter_mut()
+            .zip(&mut out.fy_hz)
+            .zip(&mut out.x_positive)
+            .zip(&mut out.y_positive);
+        for (f, (((fx, fy), x_positive), y_positive)) in self.frames.iter().zip(readings) {
+            *fx = cycles(f.steps_x, &mut rng) / f.duration_s;
+            *fy = cycles(f.steps_y, &mut rng) / f.duration_s;
+            *x_positive = f.x_positive != rng.gen_bool(quality.sign_error_rate);
+            *y_positive = f.y_positive != rng.gen_bool(quality.sign_error_rate);
         }
     }
 
     /// Draws the supply draw (W) of every frame of one power capture at
-    /// `seed` into `watts`. Sensor noise reuses
-    /// [`CaptureQuality::cycle_noise`] as a 1σ-equivalent scale (a lab
-    /// clamp is quiet, an across-the-room inductive pickup is not).
+    /// `seed` into `watts`, resized to the frame count and overwritten in
+    /// place. Sensor noise reuses [`CaptureQuality::cycle_noise`] as a
+    /// 1σ-equivalent scale (a lab clamp is quiet, an across-the-room
+    /// inductive pickup is not).
     pub fn draw_power(&self, quality: CaptureQuality, seed: u64, watts: &mut Vec<f64>) {
         let mut rng = StdRng::seed_from_u64(seed ^ POWER_SALT);
         let noise_w = 0.25 * quality.cycle_noise;
-        watts.clear();
-        watts.extend(
-            self.frames
-                .iter()
-                .map(|f| (f.watts + noise_w * rng.gen_range(-1.0..1.0f64)).max(0.0)),
-        );
+        watts.resize(self.frames.len(), 0.0);
+        for (w, f) in watts.iter_mut().zip(&self.frames) {
+            *w = (f.watts + noise_w * rng.gen_range(-1.0..1.0f64)).max(0.0);
+        }
     }
 }
 
